@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import dynamics
 from .coeffs import Var
@@ -249,16 +249,35 @@ def build_model(cfg: JobConfig) -> ModelSpec:
     return _catalog_model(cfg)
 
 
+def _occurring_params(*polys: PPoly) -> List[str]:
+    """Names of the parameters that occur anywhere in the given polynomials."""
+    found = set()
+    for F in polys:
+        for c in F.terms.values():
+            for poly in (c.num, *(f for f, _ in c.den_factors)):
+                for pp in poly.terms.values():
+                    for pmono in pp.terms:
+                        found.update(i for i, _ in pmono)
+    return [PARAMS[i] for i in sorted(found)]
+
+
 def numeric_params(cfg: JobConfig, model: ModelSpec) -> Dict[str, float]:
-    """Evaluation values: catalog defaults overridden by --param entries."""
+    """Evaluation values: catalog defaults overridden by --param entries.
+
+    Every parameter that occurs in H_bar, K_bar or L needs a value; a
+    missing one is a configuration error, never a silent zero.
+    """
     out: Dict[str, float] = {}
     schema = CATALOG.get(model.name, {}).get("params", {})
     for name, default in schema.items():
         out[name] = float(Fraction(default))
-    for name in PARAMS:
-        out.setdefault(name, 0.0)
     for name, value in cfg.param.items():
         out[name] = float(Fraction(value))
+    missing = [name for name in _occurring_params(model.Hbar, model.Kbar.poly, model.L)
+               if name not in out]
+    if missing:
+        raise ConfigError(f"no value for parameter(s) {', '.join(missing)}; "
+                          "give each as --param NAME=VALUE")
     return out
 
 

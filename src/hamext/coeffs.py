@@ -25,6 +25,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -250,19 +251,19 @@ def _mono_key(m: Mono):
 
 
 def _mono_add(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _mono_min(a: Mono, b: Mono) -> Mono:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def _mono_max(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
@@ -321,13 +322,30 @@ class Poly:
         return Poly(self.sys, {m: pp.scale(q) for m, pp in self.terms.items()}) if q != 1 else self
 
     def mul(self, other: "Poly") -> "Poly":
-        acc: Dict[Mono, ParamPoly] = {}
+        # Sums go into private dicts, with the pop-on-zero and re-insert
+        # order of _accumulate and ParamPoly.__add__ at both levels.
+        sys = self.sys
+        acc: Dict[Mono, Dict] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, q in _reduce_raw(self.sys, _mono_add(m1, m2)):
-                    self._accumulate(acc, mono, c.scale(q))
-        return Poly(self.sys, acc)
+                prod = (c1 * c2).terms
+                for mono, q in _reduce_raw(sys, _mono_add(m1, m2)):
+                    cur = acc.get(mono)
+                    if cur is None:
+                        acc[mono] = dict(prod) if q == 1 else {pm: c * q for pm, c in prod.items()}
+                        continue
+                    for pm, c in prod.items():
+                        if q != 1:
+                            c = c * q
+                        s = cur.get(pm)
+                        s = c if s is None else s + c
+                        if s:
+                            cur[pm] = s
+                        else:
+                            del cur[pm]
+                    if not cur:
+                        del acc[mono]
+        return Poly(sys, {mono: ParamPoly(t) for mono, t in acc.items()})
 
     def mul_mono(self, mono: Mono) -> "Poly":
         if mono == self.sys.unit_mono:
@@ -722,17 +740,22 @@ class CanonicalCoeff:
         #   (N / (M prod f^k))' =
         #   [N' M prod f - N (M' prod f + M sum_i k_i f_i' prod_{j != i} f_j)]
         #     / (M^2 prod f^(k+1))
-        prod1 = Poly.one(sys)
-        for f, _ in self.den_factors:
-            prod1 = prod1.mul(f)
-        top = dnum.mul(mono_poly).mul(prod1)
-        dden = dmono.mul(prod1)
+        # products with the one-term M are monomial shifts, and the empty
+        # prod f is 1; both keep the term order of the full products
+        top = dnum.mul_mono(self.den_mono)
+        dden = dmono
+        if self.den_factors:
+            prod1 = self.den_factors[0][0]
+            for f, _ in self.den_factors[1:]:
+                prod1 = prod1.mul(f)
+            top = top.mul(prod1)
+            dden = dmono.mul(prod1)
         for i, (f, k) in enumerate(self.den_factors):
             piece = f.derivative(name).scale(ParamPoly.scalar(k))
             for j, (g, _) in enumerate(self.den_factors):
                 if j != i:
                     piece = piece.mul(g)
-            dden = dden.add(mono_poly.mul(piece))
+            dden = dden.add(piece.mul_mono(self.den_mono))
         top = top.sub(self.num.mul(dden))
         new_fac = tuple((f, k + 1) for f, k in self.den_factors)
         return self._normalize(sys, top, _mono_add(self.den_mono, self.den_mono), new_fac)

@@ -147,11 +147,15 @@ class ParamPoly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in o.terms.items():
-            s = out.get(m, QZERO) + c
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+                continue
+            s = s + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
+                del out[m]
         return ParamPoly(out)
 
     __radd__ = __add__
@@ -175,15 +179,26 @@ class ParamPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.terms, o.terms
+        # a constant factor keeps the other operand's term order, and a
+        # unit factor returns it unchanged
+        if len(b) == 1 and PUNIT in b:
+            return self.scale(b[PUNIT])
+        if len(a) == 1 and PUNIT in a:
+            return o.scale(a[PUNIT])
         out: Dict[PMono, Q] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _pmono_mul(m1, m2)
-                s = out.get(m, QZERO) + c1 * c2
+                s = out.get(m)
+                if s is None:
+                    out[m] = c1 * c2
+                    continue
+                s = s + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
+                    del out[m]
         return ParamPoly(out)
 
     __rmul__ = __mul__
@@ -201,7 +216,10 @@ class ParamPoly:
         return acc
 
     def scale(self, q) -> "ParamPoly":
-        q = as_q(q)
+        if type(q) is not Q:
+            q = as_q(q)
+        if q == 1:
+            return self
         if q == 0:
             return ParamPoly.zero()
         return ParamPoly({m: c * q for m, c in self.terms.items()})

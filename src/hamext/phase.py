@@ -244,18 +244,20 @@ class PPoly:
         if o is None:
             raise TypeError("poisson bracket needs a PPoly")
         out = self.space.zero()
-        for v in self.space.system.vars:
+        for i, v in enumerate(self.space.system.vars):
             name = v.name
-            dq_self = self.d_position(name)
-            dp_self = self.d_momentum(name)
-            if not dq_self.is_zero:
-                dp_other = o.d_momentum(name)
-                if not dp_other.is_zero:
-                    out = out + dq_self * dp_other
-            if not dp_self.is_zero:
+            # a derivative is taken only when its product can be nonzero:
+            # d/dp_i vanishes exactly when no term has a p_i exponent, and
+            # d/dq_i vanishes when no coefficient depends on q_i
+            if any(pe[i] for pe in o.terms):
+                dq_self = self.d_position(name)
+                if not dq_self.is_zero:
+                    out = out + dq_self * o.d_momentum(name)
+            if any(pe[i] for pe in self.terms) and any(
+                    c.depends_on(name) for c in o.terms.values()):
                 dq_other = o.d_position(name)
                 if not dq_other.is_zero:
-                    out = out - dp_self * dq_other
+                    out = out - self.d_momentum(name) * dq_other
         return out
 
     # -- evaluation -------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from hamext import PhaseSpace, Q, Var, VarSystem, ttw_model
+from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, ttw_model
 
 settings.register_profile(
     "hamext",
@@ -43,6 +43,20 @@ def rng():
 
 _SCALARS = [Q(1), Q(2), Q(-1), Q(1, 2), Q(-3, 4)]
 _PNAMES = ["c1", "c2", "omega", "L0"]
+
+
+def parampoly_strategy():
+    atom = st.sampled_from([ParamPoly.scalar(s) for s in _SCALARS]
+                           + [ParamPoly.var(p) for p in _PNAMES])
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
+            st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
+            st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
+        )
+
+    return st.recursive(atom, extend, max_leaves=6)
 
 
 def coeff_atoms(sys):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                         EXIT_SEED, main)
@@ -44,6 +48,20 @@ def test_config_errors():
     assert run(["build", "--model", "inline", "--V", "sin(2*q)", "--eta",
                 "sin(q)"]) == EXIT_CONFIG
     assert run(["nope"]) == EXIT_CONFIG
+
+
+def test_inline_verify_needs_every_parameter(capsys):
+    args = ["verify", "--model", "inline", "--c", "1", "--kappa", "0",
+            "--V", "(c1 + c2*cos(q))/sin(q)^2", "--eta", "sin(q)",
+            "--m", "2", "--n", "1", "--samples", "40"]
+    assert run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "c1, c2, omega" in err
+    assert run(args + ["--param", "c1=1", "--param", "omega=1/2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "parameter(s) c2;" in err
+    assert run(args + ["--param", "c1=5/4", "--param", "c2=1/4",
+                       "--param", "omega=2/3"]) == EXIT_OK
 
 
 def test_config_file_roundtrip(tmp_path, capsys):
@@ -123,3 +141,19 @@ def test_solve_linear_rows(capsys):
     assert doc["V"] == "L0*q^2 + c1*q + c2"
 
     assert run(["solve-linear", "--c", "1", "--a1", "0", "--a2", "0"]) == EXIT_CONFIG
+
+
+def _cli_stdout(args, hash_seed):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "hamext", *args], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_output_independent_of_hash_seed():
+    for args in (["build", "--model", "ttw", "--m", "2", "--n", "1"],
+                 ["verify", "--model", "ttw", "--m", "1", "--n", "1", "--samples", "30"]):
+        assert _cli_stdout(args, 0) == _cli_stdout(args, 2718281828)
