@@ -14,7 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hamext import PhasePoint, ttw_model  # noqa: E402
 from hamext.dynamics import (TrajectoryConfig, hamiltons_equations,  # noqa: E402
-                             integrate_adaptive, monitor_invariants)
+                             integrate_adaptive, invariant_values,
+                             monitor_invariants)
 
 PARAMS = {"alpha1": 1.25, "alpha2": 1.75, "omega": 2 / 3}
 
@@ -37,7 +38,7 @@ def main() -> int:
                                rtol=tol, atol=tol, params=PARAMS)
         t0 = time.monotonic()
         traj = integrate_adaptive(cfg, field)
-        drift = monitor_invariants(traj, invs, PARAMS)
+        drift = monitor_invariants(traj, invariant_values(traj, invs, PARAMS))
         rows.append("\t".join(
             [f"{tol:.0e}"]
             + [f"{drift.drift(k):.3e}" for k in ("H", "K", "L")]

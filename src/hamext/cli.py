@@ -371,10 +371,10 @@ def cmd_simulate(cfg: JobConfig) -> int:
                                          params=params)
     field = dynamics.hamiltons_equations(model.Hbar, params)
     traj = dynamics.integrate_adaptive(traj_cfg, field)
-    drift = dynamics.monitor_invariants(traj, invariants, params)
+    values = dynamics.invariant_values(traj, invariants, params)
+    drift = dynamics.monitor_invariants(traj, values)
     doc = json.dumps(drift.to_dict(), indent=2, sort_keys=True) + "\n"
     if cfg.out:
-        values = dynamics.invariant_values(traj, invariants, params)
         dynamics.write_trajectory(cfg.out + ".traj.tsv", traj, values)
         with open(cfg.out + ".drift.json", "w") as fh:
             fh.write(doc)

@@ -24,11 +24,14 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import mpmath
 
 from .params import ParamPoly, Q, QONE, QZERO, as_parampoly, as_q
 
@@ -416,19 +419,6 @@ class Poly:
         m = max(self.terms, key=_mono_key)
         return m, self.terms[m]
 
-    def evaluate(self, genvals: Mapping[str, tuple], params: Mapping[str, object], conv):
-        total = conv(0)
-        offs = self.sys._offset
-        for m, c in self.terms.items():
-            term = c.evaluate(params, conv)
-            for v, off in zip(self.sys.vars, offs):
-                for k in range(v.slots):
-                    e = m[off + k]
-                    if e:
-                        term = term * genvals[v.name][k] ** e
-            total = total + term
-        return total
-
     def sorted_items(self):
         return tuple(sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True))
 
@@ -763,24 +753,18 @@ class CanonicalCoeff:
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, object], params: Mapping[str, object],
-                 conv=float, guard: float = 1e-12, prec: Optional[int] = None):
+                 guard: Optional[float] = None, prec: Optional[int] = None):
         """Numeric value at a point; raises SingularEvaluation near poles.
 
         Pass ``prec`` (significant decimal digits) for high-precision
-        evaluation through mpmath; the default is double precision.
+        evaluation through mpmath; the default is double precision.  The
+        default guard is 1e-12, or 10^(10 - prec) with ``prec``.  Each call
+        compiles the coefficient (``compile_numeric``) and evaluates it once.
         """
-        if prec is not None:
-            import mpmath
-            with mpmath.workdps(prec):
-                return self.evaluate(point, params, conv=_to_mpf,
-                                     guard=float(10.0 ** (10 - prec)))
-        genvals = generator_values(self.sys, point, conv)
-        den = Poly.from_mono(self.sys, self.den_mono).evaluate(genvals, params, conv)
-        for f, k in self.den_factors:
-            den = den * f.evaluate(genvals, params, conv) ** k
-        if abs(den) < guard:
-            raise SingularEvaluation(f"denominator magnitude {den} below guard {guard}")
-        return self.num.evaluate(genvals, params, conv) / den
+        if guard is None:
+            guard = 1e-12 if prec is None else float(10.0 ** (10 - prec))
+        fn = compile_numeric(self.sys, self, params, prec, guard)
+        return fn(*[point[v.name] for v in self.sys.vars])
 
     # -- structure ----------------------------------------------------------------
 
@@ -897,31 +881,12 @@ class CanonicalCoeff:
         return f"CanonicalCoeff({self.render()})"
 
 
-def generator_values(sys: VarSystem, point: Mapping[str, object], conv=float) -> Dict[str, tuple]:
-    """Numeric generator values (C, S) or (x,) per variable at a point."""
-    out: Dict[str, tuple] = {}
-    for v in sys.vars:
-        if v.name not in point:
-            raise KeyError(f"no value supplied for position variable {v.name!r}")
-        x = conv(point[v.name])
-        if v.is_linear:
-            out[v.name] = (x,)
-            continue
-        rate = conv(v.rate.numerator) / conv(v.rate.denominator)
-        tag = conv(v.tag.numerator) / conv(v.tag.denominator)
-        arg = rate * x
-        if v.tag > 0:
-            root = tag ** conv("0.5") if not isinstance(tag, float) else math.sqrt(tag)
-            s, c = _sin(root * arg), _cos(root * arg)
-            out[v.name] = (c, s / root)
-        else:
-            root = (-tag) ** conv("0.5") if not isinstance(tag, float) else math.sqrt(-tag)
-            out[v.name] = (_cosh(root * arg), _sinh(root * arg) / root)
-    return out
+# ---------------------------------------------------------------------------
+# numeric evaluation
 
 
-def _to_mpf(x):
-    import mpmath
+def to_mpf(x):
+    """``x`` as an mpf; a rational becomes numerator / denominator."""
     if isinstance(x, (int, float)):
         return mpmath.mpf(x)
     if hasattr(x, "numerator") and not isinstance(x, mpmath.mpf):
@@ -929,29 +894,111 @@ def _to_mpf(x):
     return mpmath.mpf(x)
 
 
-def _sin(x):
-    if isinstance(x, float):
-        return math.sin(x)
-    import mpmath
-    return mpmath.sin(x)
+_FUNCS = {
+    float: {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh},
+    to_mpf: {"sin": mpmath.sin, "cos": mpmath.cos, "sinh": mpmath.sinh, "cosh": mpmath.cosh},
+}
+
+_GUARD_CHECK = ("if abs(d) < G: "
+                "raise SingularEvaluation(f'denominator magnitude {d} below guard {G}')")
 
 
-def _cos(x):
-    if isinstance(x, float):
-        return math.cos(x)
-    import mpmath
-    return mpmath.cos(x)
+def compile_numeric(sys: VarSystem, terms, params: Mapping[str, object],
+                    prec: Optional[int], guard, momenta: int = 0) -> Callable:
+    """Compile exact coefficients once into a Python function.
+
+    ``terms`` is a CanonicalCoeff, compiled to its value as a function of
+    the positions of ``sys``, or a sequence of (momentum exponents,
+    coefficient) pairs, compiled to the sum of ``coeff * p**e`` as a
+    function of the positions followed by ``momenta`` momenta.  With
+    ``prec=None`` the function computes in floats; with ``prec`` digits it
+    computes in mpf at that precision, and so do the constants here.
+
+    The operations are always the same, in the same order, so a value does
+    not depend on how often or where the function was compiled:
+
+    * each parameter polynomial becomes one constant, ``ParamPoly.evaluate``;
+    * generators are computed once per call: ``x`` itself for a linear
+      variable, ``C = cos(root*(rate*x))`` and ``S = sin(root*(rate*x))/root``
+      with ``root = sqrt(|tag|)`` (cosh and sinh for a negative tag);
+    * every sum starts from zero and runs in dict insertion order, and a
+      term is ``constant * g**e * ...``, multiplied left to right;
+    * a denominator is ``(0 + 1*mono) * f**k * ...``; if its magnitude is
+      below ``guard`` the function raises SingularEvaluation, otherwise a
+      term is ``num / den * p**e * ...``.
+    """
+    if prec is None:
+        return _compile(sys, terms, params, guard, momenta, float)
+    with mpmath.workdps(prec):
+        fn = _compile(sys, terms, params, guard, momenta, to_mpf)
+
+    def call(*coords):
+        with mpmath.workdps(prec):
+            return fn(*coords)
+
+    return call
 
 
-def _sinh(x):
-    if isinstance(x, float):
-        return math.sinh(x)
-    import mpmath
-    return mpmath.sinh(x)
+def _compile(sys: VarSystem, terms, params, guard, momenta: int, conv) -> Callable:
+    ns: Dict[str, object] = dict(_FUNCS[conv], cv=conv, Z=conv(0), G=guard,
+                                 SingularEvaluation=SingularEvaluation)
+    ids = itertools.count()
+    lines: List[str] = []
 
+    def bind(value) -> str:
+        name = f"k{next(ids)}"
+        ns[name] = value
+        return name
 
-def _cosh(x):
-    if isinstance(x, float):
-        return math.cosh(x)
-    import mpmath
-    return mpmath.cosh(x)
+    gens: List[str] = []  # source name of the generator in each monomial slot
+    for i, v in enumerate(sys.vars):
+        if v.is_linear:
+            lines.append(f"g{i} = cv(a{i})")
+            gens.append(f"g{i}")
+            continue
+        rate = conv(v.rate.numerator) / conv(v.rate.denominator)
+        tag = conv(v.tag.numerator) / conv(v.tag.denominator)
+        size = tag if v.tag > 0 else -tag
+        root = math.sqrt(size) if conv is float else size ** conv("0.5")
+        r, t = bind(rate), bind(root)
+        s_fn, c_fn = ("sin", "cos") if v.tag > 0 else ("sinh", "cosh")
+        lines.append(f"w = {r} * cv(a{i})")
+        lines.append(f"c{i} = {c_fn}({t} * w)")
+        lines.append(f"s{i} = {s_fn}({t} * w) / {t}")
+        gens += [f"c{i}", f"s{i}"]
+    npos = len(sys.vars)
+    lines += [f"p{i} = cv(a{npos + i})" for i in range(momenta)]
+
+    def total(p: Poly) -> str:
+        expr = "Z"
+        for m, pp in p.terms.items():
+            factors = [bind(pp.evaluate(params, conv))]
+            factors += [gens[slot] if e == 1 else f"{gens[slot]} ** {e}"
+                        for slot, e in enumerate(m) if e]
+            expr += " + " + " * ".join(factors)
+        return f"({expr})"
+
+    def fraction(c: CanonicalCoeff) -> str:
+        den = total(Poly.from_mono(sys, c.den_mono))
+        for f, k in c.den_factors:
+            den += f" * {total(f)}" if k == 1 else f" * {total(f)} ** {k}"
+        lines.append(f"d = {den}")
+        lines.append(_GUARD_CHECK)
+        return f"{total(c.num)} / d"
+
+    if isinstance(terms, CanonicalCoeff):
+        lines.append(f"return {fraction(terms)}")
+    else:
+        lines.append("acc = Z")
+        for pe, c in terms:
+            value = fraction(c)
+            value += "".join(f" * p{i}" if e == 1 else f" * p{i} ** {e}"
+                             for i, e in enumerate(pe) if e)
+            lines.append(f"acc = acc + {value}")
+        lines.append("return acc")
+    args = ", ".join(f"a{i}" for i in range(npos + momenta))
+    src = f"def evaluate({args}):\n" + "".join(f"    {ln}\n" for ln in lines)
+    exec(compile(src, "<compiled coefficients>", "exec"), ns)
+    fn = ns["evaluate"]
+    fn.source = src  # type: ignore[attr-defined]
+    return fn

@@ -1,7 +1,8 @@
 """Numerical flow of generated Hamiltonians with conservation monitoring.
 
-Hamilton's equations are compiled from the exact symbolic partials into
-plain double-precision Python functions and integrated with an adaptive
+Hamilton's equations are compiled once from the exact symbolic partials by
+``PPoly.compile``, the compiler that also evaluates the 50-digit checks of
+``verify``, here in double precision.  They are integrated with an adaptive
 high-order one-step method (DOP853 via scipy).  Conservation claims are
 checked as drift bounds along trajectories; a splitting or structure-
 preserving scheme is deliberately not used because the position-dependent
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coeffs import Poly, SingularEvaluation, VarSystem
+from .coeffs import SingularEvaluation
 from .phase import PhasePoint, PhaseSpace, PPoly
 
 
@@ -27,97 +28,18 @@ from .phase import PhasePoint, PhaseSpace, PPoly
 # compilation of exact expressions to float callables
 
 
-def _mono_expr(sys: VarSystem, mono, gen_syms: List[str]) -> str:
-    parts = []
-    for slot, e in enumerate(mono):
-        if e == 1:
-            parts.append(gen_syms[slot])
-        elif e > 1:
-            parts.append(f"{gen_syms[slot]}**{e}")
-    return "*".join(parts) if parts else "1.0"
-
-
-def _poly_expr(p: Poly, params: Mapping[str, object], gen_syms: List[str]) -> str:
-    if p.is_zero:
-        return "0.0"
-    terms = []
-    for mono, pp in p.sorted_items():
-        coeff = pp.evaluate(params, float)
-        terms.append(f"({coeff!r})*{_mono_expr(p.sys, mono, gen_syms)}")
-    return "(" + " + ".join(terms) + ")"
-
-
-def _coeff_expr(c, params, gen_syms) -> str:
-    num = _poly_expr(c.num, params, gen_syms)
-    dens = []
-    if any(c.den_mono):
-        dens.append(_mono_expr(c.sys, c.den_mono, gen_syms))
-    for f, k in c.den_factors:
-        fe = _poly_expr(f, params, gen_syms)
-        dens.append(fe if k == 1 else f"{fe}**{k}")
-    if not dens:
-        return num
-    return f"({num})/({'*'.join(dens)})"
-
-
-def _generator_prelude(space: PhaseSpace) -> Tuple[List[str], List[str]]:
-    """Source lines binding generator symbols, and the symbol list by slot."""
-    lines: List[str] = []
-    gen_syms: List[str] = []
-    for v in space.system.vars:
-        if v.is_linear:
-            gen_syms.append(v.name)
-            continue
-        c_sym, s_sym = f"_C_{v.name}", f"_S_{v.name}"
-        rate = float(v.rate.numerator) / float(v.rate.denominator)
-        tag = float(v.tag.numerator) / float(v.tag.denominator)
-        if tag > 0:
-            root = math.sqrt(tag)
-            lines.append(f"{s_sym} = sin({root!r}*{rate!r}*{v.name})/{root!r}")
-            lines.append(f"{c_sym} = cos({root!r}*{rate!r}*{v.name})")
-        else:
-            root = math.sqrt(-tag)
-            lines.append(f"{s_sym} = sinh({root!r}*{rate!r}*{v.name})/{root!r}")
-            lines.append(f"{c_sym} = cosh({root!r}*{rate!r}*{v.name})")
-        gen_syms.extend([c_sym, s_sym])
-    return lines, gen_syms
-
-
-def _ppoly_expr(F: PPoly, params, gen_syms) -> str:
-    if F.is_zero:
-        return "0.0"
-    names = F.space.momentum_names
-    terms = []
-    for pe, c in F.sorted_items():
-        mom = "*".join(
-            names[i] if e == 1 else f"{names[i]}**{e}"
-            for i, e in enumerate(pe) if e
-        )
-        ce = _coeff_expr(c, params, gen_syms)
-        terms.append(f"({ce})*{mom}" if mom else f"({ce})")
-    return " + ".join(terms)
-
-
-_COMPILE_GLOBALS = {
-    "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
-}
-
-
 def compile_ppoly(F: PPoly, params: Mapping[str, object]) -> Callable[[Sequence[float]], float]:
-    """Compile a momentum polynomial to a fast float function of (q..., p...)."""
-    space = F.space
-    prelude, gen_syms = _generator_prelude(space)
-    args = ", ".join(space.coordinate_names)
-    body = "\n    ".join(prelude + [f"return {_ppoly_expr(F, params, gen_syms)}"])
-    src = f"def _compiled({args}):\n    {body}\n"
-    ns: Dict[str, object] = dict(_COMPILE_GLOBALS)
-    exec(src, ns)
-    fn = ns["_compiled"]
+    """Compile a momentum polynomial to a fast float function of (q..., p...).
+
+    Denominators are not guarded: at a pole the function raises
+    ZeroDivisionError.
+    """
+    fn = F.compile(params, guard=0.0)
 
     def call(y: Sequence[float]) -> float:
         return fn(*y)
 
-    call.source = src  # type: ignore[attr-defined]
+    call.source = fn.source  # type: ignore[attr-defined]
     return call
 
 
@@ -201,10 +123,15 @@ def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
 
 @dataclass
 class DriftReport:
-    """Per-invariant conservation statistics along a trajectory."""
+    """Per-invariant conservation statistics along a trajectory.
+
+    ``samples`` is the number of output rows; ``nfev`` counts the solver's
+    right-hand-side evaluations.
+    """
 
     entries: Dict[str, Dict[str, float]]
-    steps: int
+    samples: int
+    nfev: int
     success: bool
     message: str
 
@@ -215,7 +142,8 @@ class DriftReport:
         return {
             "success": self.success,
             "message": self.message,
-            "steps": self.steps,
+            "samples": self.samples,
+            "nfev": self.nfev,
             "invariants": {
                 k: {kk: f"{vv:.6e}" for kk, vv in sorted(v.items())}
                 for k, v in sorted(self.entries.items())
@@ -223,17 +151,25 @@ class DriftReport:
         }
 
 
-def monitor_invariants(traj: Trajectory, invariants: Mapping[str, PPoly],
-                       params: Mapping[str, object]) -> DriftReport:
+def invariant_values(traj: Trajectory, invariants: Mapping[str, PPoly],
+                     params: Mapping[str, object]) -> Dict[str, np.ndarray]:
+    """Each invariant compiled once and evaluated at every output row."""
+    out = {}
+    for name, F in invariants.items():
+        fn = compile_ppoly(F, params)
+        out[name] = np.array([fn(row) for row in traj.y])
+    return out
+
+
+def monitor_invariants(traj: Trajectory, values: Mapping[str, np.ndarray]) -> DriftReport:
     """Relative drift against the t = 0 value for each monitored function.
 
-    Initial values with magnitude below 1e-10 switch that entry to absolute
-    drift.
+    ``values`` holds each function's values along the trajectory, as
+    ``invariant_values`` returns them.  Initial values with magnitude below
+    1e-10 switch that entry to absolute drift.
     """
-    compiled = {name: compile_ppoly(F, params) for name, F in invariants.items()}
     entries: Dict[str, Dict[str, float]] = {}
-    for name, fn in compiled.items():
-        vals = np.array([fn(row) for row in traj.y])
+    for name, vals in values.items():
         v0 = vals[0]
         dev = np.max(np.abs(vals - v0)) if len(vals) else math.nan
         scale = abs(v0)
@@ -242,17 +178,8 @@ def monitor_invariants(traj: Trajectory, invariants: Mapping[str, PPoly],
             "initial": float(v0),
             "max_drift": float(dev / scale) if relative else float(dev),
         }
-    return DriftReport(entries=entries, steps=len(traj.t), success=traj.success,
-                       message=traj.message)
-
-
-def invariant_values(traj: Trajectory, invariants: Mapping[str, PPoly],
-                     params: Mapping[str, object]) -> Dict[str, np.ndarray]:
-    out = {}
-    for name, F in invariants.items():
-        fn = compile_ppoly(F, params)
-        out[name] = np.array([fn(row) for row in traj.y])
-    return out
+    return DriftReport(entries=entries, samples=len(traj.t), nfev=traj.nfev,
+                       success=traj.success, message=traj.message)
 
 
 def write_trajectory(path: str, traj: Trajectory,

@@ -15,9 +15,11 @@ All values are immutable and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .coeffs import CanonicalCoeff, VarSystem
+import mpmath
+
+from .coeffs import CanonicalCoeff, VarSystem, compile_numeric
 from .params import ParamPoly, Q, QONE, as_parampoly
 
 PExp = Tuple[int, ...]
@@ -262,29 +264,31 @@ class PPoly:
 
     # -- evaluation -------------------------------------------------------------
 
-    def evaluate(self, point, params: Mapping[str, object], prec: Optional[int] = None,
-                 guard: Optional[float] = None):
-        """Value at a phase point; high precision when ``prec`` digits given."""
-        coords = point.to_dict() if isinstance(point, PhasePoint) else dict(point)
-        if prec is None:
-            conv = float
-            g = 1e-12 if guard is None else guard
-            return self._eval_with(coords, params, conv, g)
-        import mpmath
-        with mpmath.workdps(prec):
-            g = mpmath.mpf(10) ** (-prec + 10) if guard is None else guard
-            return self._eval_with(coords, params, _mp_conv, g)
+    def compile(self, params: Mapping[str, object], prec: Optional[int] = None,
+                guard=None) -> Callable:
+        """Compile once to a function of the coordinates, positions then momenta.
 
-    def _eval_with(self, coords, params, conv, guard):
-        total = conv(0)
-        names = self.space.position_names
-        for pe, c in self.terms.items():
-            val = c.evaluate(coords, params, conv, guard)
-            for i, e in enumerate(pe):
-                if e:
-                    val = val * conv(coords[f"p_{names[i]}"]) ** e
-            total = total + val
-        return total
+        Floats by default, mpf at ``prec`` digits; see ``compile_numeric``.
+        The default guard is 1e-12, or 10^(10 - prec) with ``prec``.
+        """
+        if guard is None:
+            if prec is None:
+                guard = 1e-12
+            else:
+                with mpmath.workdps(prec):
+                    guard = mpmath.mpf(10) ** (-prec + 10)
+        return compile_numeric(self.space.system, tuple(self.terms.items()), params,
+                               prec, guard, momenta=self.space.dim)
+
+    def evaluate(self, point, params: Mapping[str, object], prec: Optional[int] = None,
+                 guard=None):
+        """Value at a phase point; high precision when ``prec`` digits given.
+
+        Compiles the polynomial for this one call; to evaluate at many
+        points, ``compile`` once instead.
+        """
+        coords = point.to_dict() if isinstance(point, PhasePoint) else point
+        return self.compile(params, prec, guard)(*[coords[n] for n in self.space.coordinate_names])
 
     # -- structure ------------------------------------------------------------------
 
@@ -350,15 +354,6 @@ class PPoly:
 
     def __repr__(self):
         return f"PPoly({self.render()})"
-
-
-def _mp_conv(x):
-    import mpmath
-    if isinstance(x, (int, float)):
-        return mpmath.mpf(x)
-    if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, mpmath.mpf):
-        return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
-    return mpmath.mpf(x)
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,12 @@ def symbolic_commute_check(H: PPoly, K: PPoly) -> Tuple[bool, PPoly]:
     return resid.is_zero, resid
 
 
-def _gradients(F: PPoly) -> Dict[str, PPoly]:
-    grads = {}
-    for name in F.space.position_names:
-        grads[name] = F.d_position(name)
-        grads[f"p_{name}"] = F.d_momentum(name)
-    return grads
+def _compiled_gradient(F: PPoly, params: Mapping[str, object],
+                       prec: Optional[int] = None) -> List:
+    """Compiled partials of F in coordinate order, positions then momenta."""
+    names = F.space.position_names
+    partials = [F.d_position(n) for n in names] + [F.d_momentum(n) for n in names]
+    return [G.compile(params, prec) for G in partials]
 
 
 def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
@@ -146,22 +146,21 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
     The bracket is recombined numerically from symbolic partials, so a
     symbolically-zero pair exercises genuine floating cancellation.
     """
-    space = H.space
-    names = space.position_names
-    gH, gK = _gradients(H), _gradients(K)
+    dim = H.space.dim
+    gH = _compiled_gradient(H, params, precision)
+    gK = _compiled_gradient(K, params, precision)
     worst = mpmath.mpf(0)
     used = rejected = 0
     with mpmath.workdps(precision):
         for pt in points:
             try:
-                hq = [gH[n].evaluate(pt, params, prec=precision) for n in names]
-                hp = [gH[f"p_{n}"].evaluate(pt, params, prec=precision) for n in names]
-                kq = [gK[n].evaluate(pt, params, prec=precision) for n in names]
-                kp = [gK[f"p_{n}"].evaluate(pt, params, prec=precision) for n in names]
+                h = [fn(*pt.values) for fn in gH]
+                k = [fn(*pt.values) for fn in gK]
             except SingularEvaluation:
                 rejected += 1
                 continue
             used += 1
+            hq, hp, kq, kp = h[:dim], h[dim:], k[:dim], k[dim:]
             bracket = mpmath.mpf(0)
             for a, b, c, d in zip(hq, kp, hp, kq):
                 bracket += a * b - c * d
@@ -186,17 +185,12 @@ def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
     """
     if not functions:
         raise ValueError("independence needs at least one function")
-    space = functions[0].space
-    coords = list(space.position_names) + [f"p_{n}" for n in space.position_names]
-    grads = [_gradients(F) for F in functions]
+    grads = [_compiled_gradient(F, params) for F in functions]
     hist: Dict[int, int] = {}
     used = rejected = 0
     for pt in points:
         try:
-            J = np.array([
-                [float(g[c].evaluate(pt, params)) for c in coords]
-                for g in grads
-            ])
+            J = np.array([[float(fn(*pt.values)) for fn in g] for g in grads])
         except SingularEvaluation:
             rejected += 1
             continue
@@ -230,6 +224,8 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
         symbolic_ok = (generated * generated.space.lift(g0)
                        - golden * golden.space.lift(f0)).is_zero
 
+    gen_fn = generated.compile(params, precision)
+    gold_fn = golden.compile(params, precision)
     num = mpmath.mpf(0)
     den = mpmath.mpf(0)
     pairs = []
@@ -237,8 +233,8 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
     with mpmath.workdps(precision):
         for pt in points:
             try:
-                gv = generated.evaluate(pt, params, prec=precision)
-                ov = golden.evaluate(pt, params, prec=precision)
+                gv = gen_fn(*pt.values)
+                ov = gold_fn(*pt.values)
             except SingularEvaluation:
                 rejected += 1
                 continue
@@ -263,21 +259,20 @@ def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
     Runs in double precision; the expected error floor is about h^4 plus
     rounding amplification, comfortably under 1e-6 at h = 1e-4.
     """
-    space = F.space
-    coords = list(space.position_names) + [f"p_{n}" for n in space.position_names]
-    grads = _gradients(F)
+    fn = F.compile(params)
+    grads = _compiled_gradient(F, params)
     worst = 0.0
     used = rejected = 0
     for pt in points:
-        base = pt.to_dict()
+        base = pt.values
         try:
-            for c in coords:
-                sym = float(grads[c].evaluate(pt, params))
+            for c, grad in enumerate(grads):
+                sym = float(grad(*base))
                 vals = []
                 for k in (-2, -1, 1, 2):
-                    shifted = dict(base)
+                    shifted = list(base)
                     shifted[c] = base[c] + k * step
-                    vals.append(float(F.evaluate(shifted, params)))
+                    vals.append(float(fn(*shifted)))
                 fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * step)
                 rel = abs(sym - fd) / (1 + abs(sym))
                 worst = max(worst, rel)

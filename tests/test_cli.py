@@ -116,6 +116,26 @@ def test_simulate_ok(tmp_path, capsys):
     assert header == "t\tq\tu\tp_q\tp_u\tH_modified\tK_modified\tL_base"
 
 
+def test_simulate_reports_solver_work(capsys, monkeypatch):
+    from hamext import dynamics
+    solved = []
+    integrate = dynamics.integrate_adaptive
+
+    def spy(cfg, field):
+        solved.append(integrate(cfg, field))
+        return solved[-1]
+
+    monkeypatch.setattr(dynamics, "integrate_adaptive", spy)
+    rc = run(["simulate", "--model", "harmonic", "--param", "L0=1/2",
+              "--t-final", "3", "--tol", "1e-10", "--stride", "7",
+              "--x0", "q=1.0,u=0.5,p_q=0.0,p_u=0.0"])
+    assert rc == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert len(solved) == 1
+    assert doc["nfev"] == solved[0].nfev > doc["samples"] == 7
+    assert "steps" not in doc
+
+
 def test_simulate_singular_initial_refused(capsys):
     rc = run(["simulate", "--model", "ttw",
               "--x0", "q=0.0,u=0.8,p_q=0.4,p_u=0.1"])

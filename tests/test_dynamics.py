@@ -101,7 +101,7 @@ def test_drift_and_negative_control(ttw_params):
     assert traj.success
     invs = {"H": mdl.Hbar, "K": mdl.Kbar.poly, "L": mdl.L,
             "p_u": mdl.space.p("u")}
-    drift = monitor_invariants(traj, invs, ttw_params)
+    drift = monitor_invariants(traj, invariant_values(traj, invs, ttw_params))
     assert drift.drift("H") < 1e-9
     assert drift.drift("K") < 1e-8
     assert drift.drift("L") < 1e-9
@@ -116,7 +116,8 @@ def test_tolerance_halving_monotonicity(ttw_params):
         cfg = TrajectoryConfig(initial=pt, t_final=20.0, rtol=tol, atol=tol,
                                params=ttw_params)
         traj = integrate_adaptive(cfg, hamiltons_equations(mdl.Hbar, ttw_params))
-        drifts.append(monitor_invariants(traj, {"H": mdl.Hbar}, ttw_params).drift("H"))
+        values = invariant_values(traj, {"H": mdl.Hbar}, ttw_params)
+        drifts.append(monitor_invariants(traj, values).drift("H"))
     assert drifts[1] <= 2 * drifts[0]
 
 

@@ -1,0 +1,254 @@
+"""The compiled numeric evaluator against the interpretive chain it replaced.
+
+The reference functions below are the per-point evaluation loops of
+``ParamPoly``, ``Poly``, ``CanonicalCoeff`` and ``PPoly`` as they were
+before evaluation was compiled, with their generator-value helper and mpf
+converter.  The compiled functions must give bitwise the same value, of
+the same type, at double precision and at 50 digits, and must raise
+``SingularEvaluation`` at exactly the same points and guards: the pinned
+50-digit ``verify`` reports depend on every rounding step.
+"""
+
+import math
+import random
+
+import mpmath
+import pytest
+from hypothesis import given, strategies as st
+
+from hamext import PhaseSpace, Q, Var, VarSystem, cage_model, ttw_model
+from hamext.cli import build_model, make_config
+from hamext.coeffs import Poly, SingularEvaluation
+from hamext.dynamics import compile_ppoly
+from hamext.params import PARAMS
+
+from conftest import coeff_strategy, ppoly_strategy
+
+# -- reference chain ----------------------------------------------------------
+
+
+def ref_mp_conv(x):
+    if isinstance(x, (int, float)):
+        return mpmath.mpf(x)
+    if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, mpmath.mpf):
+        return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
+    return mpmath.mpf(x)
+
+
+def ref_param_evaluate(pp, values, conv):
+    total = conv(0)
+    for m, c in pp.terms.items():
+        term = conv(c.numerator) / conv(c.denominator)
+        for i, e in m:
+            term = term * conv(values[PARAMS[i]]) ** e
+        total = total + term
+    return total
+
+
+def _fn(name, x):
+    if isinstance(x, float):
+        return getattr(math, name)(x)
+    return getattr(mpmath, name)(x)
+
+
+def ref_generator_values(sys, point, conv):
+    out = {}
+    for v in sys.vars:
+        x = conv(point[v.name])
+        if v.is_linear:
+            out[v.name] = (x,)
+            continue
+        rate = conv(v.rate.numerator) / conv(v.rate.denominator)
+        tag = conv(v.tag.numerator) / conv(v.tag.denominator)
+        arg = rate * x
+        if v.tag > 0:
+            root = tag ** conv("0.5") if not isinstance(tag, float) else math.sqrt(tag)
+            s, c = _fn("sin", root * arg), _fn("cos", root * arg)
+            out[v.name] = (c, s / root)
+        else:
+            root = (-tag) ** conv("0.5") if not isinstance(tag, float) else math.sqrt(-tag)
+            out[v.name] = (_fn("cosh", root * arg), _fn("sinh", root * arg) / root)
+    return out
+
+
+def ref_poly_evaluate(p, genvals, params, conv):
+    total = conv(0)
+    for m, c in p.terms.items():
+        term = ref_param_evaluate(c, params, conv)
+        for v, off in zip(p.sys.vars, p.sys._offset):
+            for k in range(v.slots):
+                e = m[off + k]
+                if e:
+                    term = term * genvals[v.name][k] ** e
+        total = total + term
+    return total
+
+
+def ref_coeff_evaluate(c, point, params, conv=float, guard=1e-12, prec=None):
+    if prec is not None:
+        with mpmath.workdps(prec):
+            return ref_coeff_evaluate(c, point, params, ref_mp_conv,
+                                      float(10.0 ** (10 - prec)))
+    genvals = ref_generator_values(c.sys, point, conv)
+    den = ref_poly_evaluate(Poly.from_mono(c.sys, c.den_mono), genvals, params, conv)
+    for f, k in c.den_factors:
+        den = den * ref_poly_evaluate(f, genvals, params, conv) ** k
+    if abs(den) < guard:
+        raise SingularEvaluation(f"denominator magnitude {den} below guard {guard}")
+    return ref_poly_evaluate(c.num, genvals, params, conv) / den
+
+
+def _ref_ppoly_with(F, coords, params, conv, guard):
+    total = conv(0)
+    names = F.space.position_names
+    for pe, c in F.terms.items():
+        val = ref_coeff_evaluate(c, coords, params, conv, guard)
+        for i, e in enumerate(pe):
+            if e:
+                val = val * conv(coords[f"p_{names[i]}"]) ** e
+        total = total + val
+    return total
+
+
+def ref_ppoly_evaluate(F, coords, params, prec=None, guard=None):
+    if prec is None:
+        return _ref_ppoly_with(F, coords, params, float, 1e-12 if guard is None else guard)
+    with mpmath.workdps(prec):
+        g = mpmath.mpf(10) ** (-prec + 10) if guard is None else guard
+        return _ref_ppoly_with(F, coords, params, ref_mp_conv, g)
+
+
+# -- comparison ------------------------------------------------------------------
+
+
+def outcome(thunk):
+    """Bitwise identity of a value and its type, or the singular verdict."""
+    try:
+        v = thunk()
+    except SingularEvaluation:
+        return "singular"
+    except ZeroDivisionError:
+        return "zero division"
+    if isinstance(v, mpmath.mpf):
+        return (mpmath.mpf, v._mpf_)
+    return (type(v), v.hex())
+
+
+PARAM_VALUES = {"c1": 1.3, "c2": -0.7, "omega": Q(2, 3), "L0": 0.45}
+
+SYSTEMS = {
+    "circular": VarSystem([Var.circular("q"), Var.linear("u")]),
+    "hyperbolic-rate-2": VarSystem([Var.hyperbolic("q", 2), Var.linear("u")]),
+    # an irrational root and a rate that is not a power of two make
+    # root*(rate*x) and (root*rate)*x round differently
+    "tag-3-rate-2/5": VarSystem([Var.tagged("q", 3, Q(2, 5)), Var.linear("u")]),
+    "tag--2-rate-3/7": VarSystem([Var.tagged("q", -2, Q(3, 7)), Var.linear("u")]),
+}
+SPACES = {k: PhaseSpace(s, ext="u") for k, s in SYSTEMS.items()}
+
+_coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+points = st.fixed_dictionaries({"q": _coord, "u": _coord, "p_q": _coord, "p_u": _coord})
+# guards below every denominator, at the size of some, and above the unit one
+guards = st.sampled_from([None, 1e-3, 0.3, 2.0])
+precisions = st.sampled_from([None, 50])
+
+
+def _ppoly_case(name):
+    space = SPACES[name]
+    return st.tuples(ppoly_strategy(space), points, guards, precisions)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_ppoly_matches_reference(name):
+    @given(_ppoly_case(name))
+    def check(case):
+        F, pt, guard, prec = case
+        want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
+        fn = F.compile(PARAM_VALUES, prec, guard)
+        values = [pt[n] for n in F.space.coordinate_names]
+        assert outcome(lambda: fn(*values)) == want
+        assert outcome(lambda: F.evaluate(pt, PARAM_VALUES, prec, guard)) == want
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_coeff_matches_reference(name):
+    sys = SYSTEMS[name]
+
+    @given(coeff_strategy(sys), points, st.sampled_from([1e-12, 1e-3, 0.3, 2.0]))
+    def check(c, pt, guard):
+        want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, guard=guard))
+        assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, guard=guard)) == want
+        want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, prec=50))
+        assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
+
+    check()
+
+
+@given(ppoly_strategy(SPACES["circular"]), points)
+def test_unguarded_flow_function_matches_reference(F, pt):
+    """``compile_ppoly`` is the float evaluation with no guard at all."""
+    want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, guard=0.0))
+    fn = compile_ppoly(F, PARAM_VALUES)
+    assert outcome(lambda: fn([pt[n] for n in F.space.coordinate_names])) == want
+
+
+def test_singular_points_agree():
+    sys = SYSTEMS["circular"]
+    space = SPACES["circular"]
+    u, S = sys.coord("u"), sys.S("q")
+    F = space.lift(sys.one() / (u + S) ** 2) * space.p("q") + space.lift(S / u)
+    for pt, guard in [({"q": 0.4, "u": -math.sin(0.4), "p_q": 1.0, "p_u": 0.0}, None),
+                      ({"q": 0.4, "u": 1e-13, "p_q": 1.0, "p_u": 0.0}, None),
+                      ({"q": 0.4, "u": 0.01, "p_q": 1.0, "p_u": 0.0}, 0.05),
+                      ({"q": 0.4, "u": 0.5, "p_q": 1.0, "p_u": 0.0}, 0.05)]:
+        for prec in (None, 50):
+            want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
+            got = outcome(lambda: F.evaluate(pt, PARAM_VALUES, prec, guard))
+            assert got == want
+    with pytest.raises(SingularEvaluation):
+        F.evaluate({"q": 0.4, "u": 1e-13, "p_q": 1.0, "p_u": 0.0}, PARAM_VALUES)
+
+
+# -- the gradients verify evaluates --------------------------------------------------
+
+INLINE_V = "(c1 + c2*cos(q))/sin(q)^2"
+
+
+def _inline(kappa):
+    return build_model(make_config(
+        ["build", "--model", "inline", "--c", "1", "--kappa", str(kappa),
+         "--A", "1", "--omega", "sym", "--V", INLINE_V, "--eta", "sin(q)",
+         "--m", "2", "--n", "1"]))
+
+
+MODELS = {
+    "ttw-3-2": (lambda: ttw_model(3, 2),
+                {"alpha1": Q(5, 4), "alpha2": Q(7, 4), "omega": Q(2, 3)}),
+    "cage-4-3": (lambda: cage_model(4, 3),
+                 {"L0": Q(3, 4), "b": Q(1, 2), "omega": Q(2, 3), "A": 1}),
+    "inline-k+1-2-1": (lambda: _inline(1), {"c1": 1.5, "c2": 0.25, "omega": 0.5}),
+    "inline-k-1-2-1": (lambda: _inline(-1), {"c1": 1.5, "c2": 0.25, "omega": 0.5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_gradients_match_reference(name):
+    make, params = MODELS[name]
+    model = make()
+    rng = random.Random(7)
+    pts = []
+    for _ in range(3):
+        pt = {n: rng.uniform(0.3, 1.2) for n in model.space.position_names}
+        pt.update({n: rng.uniform(-1.0, 1.0) for n in model.space.momentum_names})
+        pts.append(pt)
+    for F in (model.Hbar, model.Kbar.poly):
+        names = F.space.position_names
+        for G in [F.d_position(n) for n in names] + [F.d_momentum(n) for n in names]:
+            for prec in (None, 50):
+                fn = G.compile(params, prec)
+                for pt in pts:
+                    want = outcome(lambda: ref_ppoly_evaluate(G, pt, params, prec))
+                    values = [pt[n] for n in G.space.coordinate_names]
+                    assert outcome(lambda: fn(*values)) == want
