@@ -16,8 +16,9 @@ from hamext import PhasePoint, ttw_model  # noqa: E402
 from hamext.dynamics import (TrajectoryConfig, hamiltons_equations,  # noqa: E402
                              integrate_adaptive, invariant_values,
                              monitor_invariants)
+from hamext.models import catalog_params  # noqa: E402
 
-PARAMS = {"alpha1": 1.25, "alpha2": 1.75, "omega": 2 / 3}
+PARAMS = catalog_params("ttw")
 
 
 def main() -> int:

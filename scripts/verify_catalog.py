@@ -12,17 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hamext import cage_model, harmonic_model, ttw_model  # noqa: E402
+from hamext.models import CATALOG, catalog_params  # noqa: E402
 from hamext.verify import VerifySettings, run_model_verification  # noqa: E402
 
-CASES = [
-    ("ttw", ttw_model, [(1, 1), (2, 1), (1, 2), (3, 2)],
-     {"alpha1": 1.25, "alpha2": 1.75, "omega": 2 / 3}),
-    ("cage", cage_model, [(1, 1), (2, 1), (3, 2), (4, 3)],
-     {"L0": 0.75, "b": 0.5, "omega": 2 / 3, "A": 1.0}),
-    ("harmonic", harmonic_model, [(1, 1)],
-     {"L0": 0.5, "c1": 0.0, "omega": 0.0, "A": 1.0}),
-]
+GRIDS = {
+    "ttw": [(1, 1), (2, 1), (1, 2), (3, 2)],
+    "cage": [(1, 1), (2, 1), (3, 2), (4, 3)],
+    "harmonic": [(1, 1)],
+}
 
 
 def main() -> int:
@@ -35,10 +32,11 @@ def main() -> int:
     print(f"{'model':<10} {'(m,n)':<8} {'branch':<12} {'K deg':<6} "
           f"{'claims':<8} {'time':<8} verdict")
     failures = 0
-    for name, builder, grid, params in CASES:
+    for name, grid in GRIDS.items():
+        params = catalog_params(name)
         for m, n in grid:
             t0 = time.monotonic()
-            mdl = builder(m, n)
+            mdl = CATALOG[name]["builder"](m, n)
             report = run_model_verification(mdl, params, settings)
             dt = time.monotonic() - t0
             n_ok = sum(c.ok for c in report.claims)

@@ -4,7 +4,7 @@ from .params import PARAMS, ParamPoly, Q, as_parampoly, as_q
 from .coeffs import (CanonicalCoeff, SingularEvaluation, Var, VarSystem,
                      ZeroCoefficientDivision)
 from .phase import (PhasePoint, PhaseSpace, PhaseSpaceMismatch, PPoly,
-                    apply_U, apply_W, apply_XL, poisson_bracket)
+                    apply_U, apply_W, apply_XL, confinement, poisson_bracket)
 from .extension import (ExtensionProfile, CompatibilityReport,
                         LinearSeedFamily, ModifiedK, SeedConditionError,
                         SeedSolution, build_extended_H, build_K,
@@ -14,8 +14,8 @@ from .extension import (ExtensionProfile, CompatibilityReport,
                         recursion_Gn, solve_linear_seed, tagged_trig,
                         modified_coupling_functions)
 from .models import (CATALOG, ModelSpec, cage_model, coincidence_pair,
-                     golden_K21, harmonic_model, polar_cartesian_map,
-                     ttw_model)
+                     extend_model, golden_K21, harmonic_model,
+                     polar_cartesian_map, ttw_model)
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "CanonicalCoeff", "SingularEvaluation", "Var", "VarSystem",
     "ZeroCoefficientDivision",
     "PhasePoint", "PhaseSpace", "PhaseSpaceMismatch", "PPoly",
-    "apply_U", "apply_W", "apply_XL", "poisson_bracket",
+    "apply_U", "apply_W", "apply_XL", "confinement", "poisson_bracket",
     "ExtensionProfile", "CompatibilityReport", "LinearSeedFamily",
     "ModifiedK", "SeedConditionError", "SeedSolution",
     "build_extended_H", "build_K", "build_modified_H", "build_modified_K",
@@ -32,6 +32,7 @@ __all__ = [
     "closed_form_PD", "expand_modified_K", "make_extension_space",
     "make_profile", "recursion_Gn", "solve_linear_seed", "tagged_trig",
     "modified_coupling_functions",
-    "CATALOG", "ModelSpec", "cage_model", "coincidence_pair", "golden_K21",
+    "CATALOG", "ModelSpec", "cage_model", "coincidence_pair", "extend_model",
+    "golden_K21",
     "harmonic_model", "polar_cartesian_map", "ttw_model",
 ]

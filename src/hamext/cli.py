@@ -24,10 +24,8 @@ from typing import Dict, List, Optional, Sequence
 from . import dynamics
 from .coeffs import Var
 from .exprparse import ExpressionError, parse_coeff
-from .extension import (SeedConditionError, SeedSolution, build_extended_H,
-                        build_modified_H, build_modified_K,
-                        make_extension_space, make_profile, solve_linear_seed)
-from .models import CATALOG, ModelSpec, cage_model, harmonic_model, ttw_model
+from .extension import SeedConditionError, make_extension_space, solve_linear_seed
+from .models import CATALOG, ModelSpec, catalog_params, extend_model
 from .params import PARAMS, ParamPoly, Q
 from .phase import PhasePoint, PPoly
 from .verify import VerifySettings, run_model_verification
@@ -215,38 +213,25 @@ def _inline_model(cfg: JobConfig) -> ModelSpec:
         eta = parse_coeff(cfg.eta, sysv)
     except ExpressionError as exc:
         raise ConfigError(str(exc))
-    p = space.p("q")
-    L = p * p * Q(1, 2) + space.lift(V)
-    G = space.lift(eta) * p
-    seed = SeedSolution.certify(L, G, c, L0)  # raises SeedConditionError
-    profile = make_profile(space, cfg.m, cfg.n, c=c, L0=L0, kappa=cfg.kappa,
-                           A=A, omega=omega)
-    return ModelSpec(
-        name="inline", m=cfg.m, n=cfg.n,
-        params={"omega": omega, "L0": L0, "A": A},
-        space=space, profile=profile, seed=seed, L=L,
-        H=build_extended_H(profile, L),
-        Hbar=build_modified_H(profile, L),
-        Kbar=build_modified_K(profile, seed),
-        metadata={"V": cfg.V, "eta": cfg.eta},
-    )
-
-
-def _catalog_model(cfg: JobConfig) -> ModelSpec:
-    omega = _sym_or_rat(cfg.omega, "omega")
-    if cfg.model == "ttw":
-        return ttw_model(cfg.m, cfg.n, omega=omega)
-    if cfg.model == "cage":
-        return cage_model(cfg.m, cfg.n, omega=omega, A=_sym_or_rat(cfg.A, "A"))
-    if cfg.model == "harmonic":
-        return harmonic_model(cfg.m, cfg.n, omega=omega, A=_sym_or_rat(cfg.A, "A"))
-    raise ConfigError(f"unknown model {cfg.model!r}; see the catalog command")
+    # a seed that fails its identity raises SeedConditionError
+    return extend_model("inline", space, V, eta, m=cfg.m, n=cfg.n, c=c, L0=L0,
+                        kappa=cfg.kappa, A=A, omega=omega,
+                        params={"omega": omega, "L0": L0, "A": A},
+                        metadata={"V": cfg.V, "eta": cfg.eta})
 
 
 def build_model(cfg: JobConfig) -> ModelSpec:
+    """The inline model, or the catalog entry's builder; --A goes only to
+    entries whose parameter schema lists A."""
     if cfg.model == "inline":
         return _inline_model(cfg)
-    return _catalog_model(cfg)
+    entry = CATALOG.get(cfg.model)
+    if entry is None:
+        raise ConfigError(f"unknown model {cfg.model!r}; see the catalog command")
+    kwargs = {"omega": _sym_or_rat(cfg.omega, "omega")}
+    if "A" in entry["params"]:
+        kwargs["A"] = _sym_or_rat(cfg.A, "A")
+    return entry["builder"](cfg.m, cfg.n, **kwargs)
 
 
 def _occurring_params(*polys: PPoly) -> List[str]:
@@ -267,10 +252,7 @@ def numeric_params(cfg: JobConfig, model: ModelSpec) -> Dict[str, float]:
     Every parameter that occurs in H_bar, K_bar or L needs a value; a
     missing one is a configuration error, never a silent zero.
     """
-    out: Dict[str, float] = {}
-    schema = CATALOG.get(model.name, {}).get("params", {})
-    for name, default in schema.items():
-        out[name] = float(Fraction(default))
+    out = catalog_params(model.name) if model.name in CATALOG else {}
     for name, value in cfg.param.items():
         out[name] = float(Fraction(value))
     missing = [name for name in _occurring_params(model.Hbar, model.Kbar.poly, model.L)

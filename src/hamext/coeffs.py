@@ -466,11 +466,17 @@ class Poly:
         return out
 
 
+#: Division steps after which ``poly_divexact`` stops with ArithmeticError.
+DIVEXACT_MAX_STEPS = 10000
+
+
 def poly_divexact(num: Poly, div: Poly) -> Optional[Poly]:
     """Exact division in the reduced-basis ring; None when not divisible.
 
     Termination relies on the monomial layout ranking C-slots before
-    S-slots, which makes the Pythagorean rewrite strictly decreasing.
+    S-slots, which makes the Pythagorean rewrite strictly decreasing.  A
+    division still running after ``DIVEXACT_MAX_STEPS`` steps raises
+    ArithmeticError: giving up is not the verdict "does not divide".
     """
     if div.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
@@ -478,11 +484,12 @@ def poly_divexact(num: Poly, div: Poly) -> Optional[Poly]:
     lm, lc = div.leading()
     rem = Poly(sys, num.terms)
     quot: Dict[Mono, ParamPoly] = {}
-    guard = 0
+    steps = 0
     while not rem.is_zero:
-        guard += 1
-        if guard > 10000:
-            return None
+        steps += 1
+        if steps > DIVEXACT_MAX_STEPS:
+            raise ArithmeticError(
+                f"exact division undecided after {DIVEXACT_MAX_STEPS} steps")
         m, c = rem.leading()
         qm = _mono_sub(m, lm)
         if any(e < 0 for e in qm):
@@ -757,12 +764,10 @@ class CanonicalCoeff:
         """Numeric value at a point; raises SingularEvaluation near poles.
 
         Pass ``prec`` (significant decimal digits) for high-precision
-        evaluation through mpmath; the default is double precision.  The
-        default guard is 1e-12, or 10^(10 - prec) with ``prec``.  Each call
-        compiles the coefficient (``compile_numeric``) and evaluates it once.
+        evaluation through mpmath; the default is double precision.  Each
+        call compiles the coefficient (``compile_numeric``, which also sets
+        the default guard) and evaluates it once.
         """
-        if guard is None:
-            guard = 1e-12 if prec is None else float(10.0 ** (10 - prec))
         fn = compile_numeric(self.sys, self, params, prec, guard)
         return fn(*[point[v.name] for v in self.sys.vars])
 
@@ -904,7 +909,7 @@ _GUARD_CHECK = ("if abs(d) < G: "
 
 
 def compile_numeric(sys: VarSystem, terms, params: Mapping[str, object],
-                    prec: Optional[int], guard, momenta: int = 0) -> Callable:
+                    prec: Optional[int], guard=None, momenta: int = 0) -> Callable:
     """Compile exact coefficients once into a Python function.
 
     ``terms`` is a CanonicalCoeff, compiled to its value as a function of
@@ -925,11 +930,15 @@ def compile_numeric(sys: VarSystem, terms, params: Mapping[str, object],
       term is ``constant * g**e * ...``, multiplied left to right;
     * a denominator is ``(0 + 1*mono) * f**k * ...``; if its magnitude is
       below ``guard`` the function raises SingularEvaluation, otherwise a
-      term is ``num / den * p**e * ...``.
+      term is ``num / den * p**e * ...``.  The default guard is 1e-12, or
+      the mpf 10^(10 - prec) with ``prec``.
     """
     if prec is None:
-        return _compile(sys, terms, params, guard, momenta, float)
+        return _compile(sys, terms, params, 1e-12 if guard is None else guard,
+                        momenta, float)
     with mpmath.workdps(prec):
+        if guard is None:
+            guard = mpmath.mpf(10) ** (-prec + 10)
         fn = _compile(sys, terms, params, guard, momenta, to_mpf)
 
     def call(*coords):

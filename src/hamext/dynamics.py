@@ -100,10 +100,6 @@ class Trajectory:
     message: str
     nfev: int
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.y[-1]
-
 
 def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
     """Adaptive integration with dense output on the stride grid.

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeffs import CanonicalCoeff, Var, VarSystem
 from .params import ParamPoly, Q, as_parampoly, as_q
-from .phase import PhaseSpace, PPoly, apply_U, apply_W, apply_XL
+from .phase import PhaseSpace, PPoly, apply_U, apply_W, apply_XL, confinement
 
 EXACT_TAGS = (1, 0, -1)
 
@@ -258,13 +258,7 @@ def build_extended_H(profile: ExtensionProfile, L: PPoly) -> PPoly:
 
 def build_modified_H(profile: ExtensionProfile, L: PPoly) -> PPoly:
     """Extended Hamiltonian plus the omega/gamma^2 confinement term."""
-    space = profile.space
-    omega = profile.omega
-    H = build_extended_H(profile, L)
-    if omega.is_zero:
-        return H
-    gamma_inv2 = (space.system.one() / profile.gamma) ** 2
-    return H + space.lift(gamma_inv2 * omega)
+    return build_extended_H(profile, L) + profile.space.lift(confinement(profile))
 
 
 def build_K(profile: ExtensionProfile, seed: SeedSolution) -> PPoly:
@@ -351,9 +345,7 @@ def expand_modified_K(profile: ExtensionProfile, seed: SeedSolution) -> PPoly:
     eff, depth, _ = _even_dispatch(profile)
     s = eff.m // 2
     space = eff.space
-    omega = as_parampoly(eff.omega)
-    gamma_inv2 = (space.system.one() / eff.gamma) ** 2
-    coupling = space.lift(gamma_inv2 * omega) * 2
+    coupling = space.lift(confinement(eff)) * 2
     Gn = recursion_Gn(seed, depth)
     powers = [Gn]
     for _ in range(2 * s):
@@ -389,20 +381,17 @@ class CompatibilityReport:
         return not self.failures
 
 
-def check_compatibility_conditions(profile: ExtensionProfile, f: CanonicalCoeff,
-                           h: CanonicalCoeff, seed: SeedSolution) -> CompatibilityReport:
+def check_compatibility_conditions(profile: ExtensionProfile, f, h, seed: SeedSolution, *,
+                                   gamma: Optional[CanonicalCoeff] = None,
+                                   alpha: Optional[CanonicalCoeff] = None,
+                                   G_n: Optional[PPoly] = None) -> CompatibilityReport:
     """Check the compatibility conditions against given f(u), h(u).
 
     The constants are recovered by matching the gamma^2 and gamma^-2 basis
     coefficients; any leftover residual fails the corresponding condition.
+    ``gamma``, ``alpha`` and ``G_n`` replace the profile's functions and the
+    recursion term, so a deliberately wrong one can be checked.
     """
-    return _compatibility_report(profile, f, h, seed)
-
-
-def _compatibility_report(profile: ExtensionProfile, f, h, seed: SeedSolution, *,
-                  gamma: Optional[CanonicalCoeff] = None,
-                  alpha: Optional[CanonicalCoeff] = None,
-                  G_n: Optional[PPoly] = None) -> CompatibilityReport:
     space = profile.space
     sysv = space.system
     u = space.ext
@@ -414,9 +403,7 @@ def _compatibility_report(profile: ExtensionProfile, f, h, seed: SeedSolution, *
 
     n = profile.n
     Gn = recursion_Gn(seed, n) if G_n is None else G_n
-    resid = apply_XL(seed.L, apply_XL(seed.L, Gn)) \
-        + (seed.L.scale(profile.c) + space.lift(profile.L0)) * Gn * (2 * n * n)
-    seed_ok = resid.is_zero
+    _, seed_ok = check_seed(seed.L, Gn, profile.c * (n * n), profile.L0.scale(n * n))
     if not seed_ok:
         failures.append("scaled seed identity")
 
@@ -454,7 +441,6 @@ def _compatibility_report(profile: ExtensionProfile, f, h, seed: SeedSolution, *
     combo_ok = False
     f0_is_omega = False
     if f_ok and h_ok:
-        gamma_inv2 = sysv.one() / (gamma * gamma)
         combo = f * 2 + h - sysv.lift(f0 * 2) * gamma_inv2
         combo_ok = combo.is_zero
         f0_is_omega = f0 == as_parampoly(profile.omega)
@@ -476,11 +462,10 @@ def modified_coupling_functions(profile: ExtensionProfile) -> Tuple[CanonicalCoe
     f = (m/n)^2 beta + omega/gamma^2 and h = 2*omega/gamma^2 - 2f, so the
     recovered constants are f0 = omega and h0 = 0.
     """
-    sysv = profile.space.system
     ratio = Q(profile.m * profile.m, profile.n * profile.n)
-    gamma_inv2 = sysv.one() / (profile.gamma * profile.gamma)
-    f = profile.beta * ratio + gamma_inv2 * sysv.lift(profile.omega)
-    h = gamma_inv2 * sysv.lift(profile.omega) * 2 - f * 2
+    w = confinement(profile)
+    f = profile.beta * ratio + w
+    h = w * 2 - f * 2
     return f, h
 
 

@@ -12,22 +12,25 @@ Catalog entries:
     harmonic -- the constant-seed oscillator family, mostly useful as a
                 clean target for flow and drift checks.
 
-Every entry certifies its seed at construction and carries the modified
-Hamiltonian and first integral, plus coordinate-map metadata.
+Every entry declares its base potential V, seed coefficient eta and
+constants, and ``extend_model`` builds the rest: it certifies the seed and
+forms the modified Hamiltonian and first integral.  Inline models from the
+command line go through the same assembler.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .coeffs import Var
+from .coeffs import CanonicalCoeff, Var
 from .extension import (ExtensionProfile, ModifiedK, SeedSolution,
-                        build_extended_H, build_modified_H, build_modified_K,
+                        build_extended_H, build_modified_K,
                         make_extension_space, make_profile)
 from .params import ParamPoly, Q, as_parampoly
-from .phase import PhaseSpace, PPoly
+from .phase import PhaseSpace, PPoly, confinement
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,35 @@ def _require_coprime(m: int, n: int):
         raise ValueError(f"(m, n) = ({m}, {n}) must be coprime")
 
 
+def extend_model(name: str, space: PhaseSpace, V: CanonicalCoeff, eta: CanonicalCoeff, *,
+                 m: int, n: int, c, L0=0, kappa: int = 0, A=1, omega,
+                 params: Dict[str, ParamPoly], metadata: Dict[str, object],
+                 profile_mn: Optional[Tuple[int, int]] = None) -> ModelSpec:
+    """The modified extension of the base pair L = p^2/2 + V, G = eta*p.
+
+    ``space`` is the base variable plus the extension pair, and V and eta
+    are coefficients on it.  The seed is certified, then
+
+        H_bar = p_u^2/2 + (m/n)^2 (alpha*L + beta) + omega/gamma^2
+        K_bar = (U^2 + 2*omega/gamma^2)^s G_n
+
+    are built on the profile at ``profile_mn``, which defaults to (m, n);
+    the model itself records (m, n).
+    """
+    p = space.p(space.position_names[0])
+    L = p * p * Q(1, 2) + space.lift(V)
+    G = space.lift(eta) * p
+    seed = SeedSolution.certify(L, G, c, L0)
+    pm, pn = profile_mn or (m, n)
+    profile = make_profile(space, pm, pn, c=c, L0=L0, kappa=kappa, A=A, omega=omega)
+    H = build_extended_H(profile, L)
+    return ModelSpec(
+        name=name, m=m, n=n, params=params, space=space, profile=profile,
+        seed=seed, L=L, H=H, Hbar=H + space.lift(confinement(profile)),
+        Kbar=build_modified_K(profile, seed), metadata=metadata,
+    )
+
+
 def ttw_model(m: int, n: int, alpha1=None, alpha2=None, omega=None) -> ModelSpec:
     """TTW system at lambda = m/n; profile (2m, n) with c = 1, kappa = 0.
 
@@ -93,20 +125,10 @@ def ttw_model(m: int, n: int, alpha1=None, alpha2=None, omega=None) -> ModelSpec
     sysv = space.system
     S, C = sysv.S("q"), sysv.C("q")
     V = (sysv.lift(c1) + sysv.lift(c2) * C) / (S * S)
-    p = space.p("q")
-    L = p * p * Q(1, 2) + space.lift(V)
-    G = space.lift(S) * p
-    seed = SeedSolution.certify(L, G, 1, 0)
-
-    profile = make_profile(space, 2 * m, n, c=1, L0=0, kappa=0, omega=omega)
-    H = build_extended_H(profile, L)
-    Hbar = build_modified_H(profile, L)
-    Kbar = build_modified_K(profile, seed)
-    return ModelSpec(
-        name="ttw", m=m, n=n,
+    return extend_model(
+        "ttw", space, V, S, m=m, n=n, c=1, omega=omega, profile_mn=(2 * m, n),
         params={"alpha1": alpha1, "alpha2": alpha2, "omega": omega,
                 "c1": c1, "c2": c2},
-        space=space, profile=profile, seed=seed, L=L, H=H, Hbar=Hbar, Kbar=Kbar,
         metadata={"angle_map": f"q = 2*({m}/{n})*theta, u = r",
                   "c1": c1, "c2": c2},
     )
@@ -128,19 +150,9 @@ def cage_model(m: int, n: int, L0=None, b=None, omega=None, A=1) -> ModelSpec:
     sysv = space.system
     qc = sysv.coord("q")
     V = sysv.lift(L0) * qc * qc * Q(1, 4) + sysv.lift(b) / (qc * qc)
-    p = space.p("q")
-    L = p * p * Q(1, 2) + space.lift(V)
-    G = space.lift(qc) * p
-    seed = SeedSolution.certify(L, G, 0, L0)
-
-    profile = make_profile(space, m, n, c=0, L0=L0, kappa=0, A=A, omega=omega)
-    H = build_extended_H(profile, L)
-    Hbar = build_modified_H(profile, L)
-    Kbar = build_modified_K(profile, seed)
-    return ModelSpec(
-        name="cage", m=m, n=n,
+    return extend_model(
+        "cage", space, V, qc, m=m, n=n, c=0, L0=L0, A=A, omega=omega,
         params={"L0": L0, "b": b, "omega": omega, "A": A},
-        space=space, profile=profile, seed=seed, L=L, H=H, Hbar=Hbar, Kbar=Kbar,
         metadata={"rescale_map": f"x = ({n}/{m})*q, p_x = ({m}/{n})*p_q"},
     )
 
@@ -157,20 +169,9 @@ def harmonic_model(m: int = 1, n: int = 1, L0=None, c1=0, omega=0, A=1) -> Model
     sysv = space.system
     qc = sysv.coord("q")
     V = sysv.lift(L0) * qc * qc + sysv.lift(c1) * qc
-    p = space.p("q")
-    L = p * p * Q(1, 2) + space.lift(V)
-    G = p
-    seed = SeedSolution.certify(L, G, 0, L0)
-
-    profile = make_profile(space, m, n, c=0, L0=L0, kappa=0, A=A, omega=omega)
-    H = build_extended_H(profile, L)
-    Hbar = build_modified_H(profile, L)
-    Kbar = build_modified_K(profile, seed)
-    return ModelSpec(
-        name="harmonic", m=m, n=n,
-        params={"L0": L0, "c1": c1, "omega": omega, "A": A},
-        space=space, profile=profile, seed=seed, L=L, H=H, Hbar=Hbar, Kbar=Kbar,
-        metadata={},
+    return extend_model(
+        "harmonic", space, V, sysv.one(), m=m, n=n, c=0, L0=L0, A=A, omega=omega,
+        params={"L0": L0, "c1": c1, "omega": omega, "A": A}, metadata={},
     )
 
 
@@ -192,6 +193,11 @@ CATALOG: Dict[str, Dict[str, object]] = {
         "doc": "oscillator with constant seed; c = 0 column",
     },
 }
+
+
+def catalog_params(name: str) -> Dict[str, float]:
+    """The catalog entry's default parameter values as floats."""
+    return {k: float(Fraction(v)) for k, v in CATALOG[name]["params"].items()}
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,6 @@ class ParamPoly:
             return self.terms[PUNIT]
         return None
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
     # -- arithmetic -----------------------------------------------------
 
     @staticmethod

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-import mpmath
-
-from .coeffs import CanonicalCoeff, VarSystem, compile_numeric
+from .coeffs import (CanonicalCoeff, VarSystem, ZeroCoefficientDivision,
+                     compile_numeric)
 from .params import ParamPoly, Q, QONE, as_parampoly
 
 PExp = Tuple[int, ...]
@@ -268,15 +267,9 @@ class PPoly:
                 guard=None) -> Callable:
         """Compile once to a function of the coordinates, positions then momenta.
 
-        Floats by default, mpf at ``prec`` digits; see ``compile_numeric``.
-        The default guard is 1e-12, or 10^(10 - prec) with ``prec``.
+        Floats by default, mpf at ``prec`` digits; see ``compile_numeric``,
+        which also sets the default guard.
         """
-        if guard is None:
-            if prec is None:
-                guard = 1e-12
-            else:
-                with mpmath.workdps(prec):
-                    guard = mpmath.mpf(10) ** (-prec + 10)
         return compile_numeric(self.space.system, tuple(self.terms.items()), params,
                                prec, guard, momenta=self.space.dim)
 
@@ -390,16 +383,24 @@ def apply_U(profile, L: PPoly, f: PPoly) -> PPoly:
     return p_u * f + coef * apply_XL(L, f)
 
 
+def confinement(profile) -> CanonicalCoeff:
+    """The confinement coefficient omega/gamma^2, or zero when omega = 0.
+
+    ``profile`` only needs attributes omega, gamma and space.
+    """
+    sysv: VarSystem = profile.space.system
+    omega = as_parampoly(profile.omega)
+    if omega.is_zero:
+        return sysv.zero()
+    return (sysv.one() / profile.gamma) ** 2 * omega
+
+
 def apply_W(profile, L: PPoly, f: PPoly) -> PPoly:
     """U^2 plus the frequency coupling 2*omega/gamma^2."""
-    from .coeffs import ZeroCoefficientDivision
-
-    space: PhaseSpace = profile.space
     if profile.gamma.is_zero:
         raise ZeroCoefficientDivision("gamma is identically zero; gamma^-2 undefined")
     u2 = apply_U(profile, L, apply_U(profile, L, f))
-    omega = as_parampoly(profile.omega)
-    if omega.is_zero:
+    w = confinement(profile)
+    if w.is_zero:
         return u2
-    gamma_inv2 = (space.system.one() / profile.gamma) ** 2
-    return u2 + space.lift(gamma_inv2 * omega) * f * 2
+    return u2 + profile.space.lift(w) * f * 2

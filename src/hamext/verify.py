@@ -28,6 +28,13 @@ from .phase import PhasePoint, PhaseSpace, PPoly, apply_XL, poisson_bracket
 from .extension import recursion_Gn
 
 
+#: The regular box that samples are drawn from, and the singular-value
+#: ratio below which a gradient direction counts as dependent.
+POSITION_RANGE = (0.3, 1.2)
+MOMENTUM_RANGE = (-1.0, 1.0)
+RANK_THRESHOLD = 1e-8
+
+
 @dataclass(frozen=True)
 class VerifySettings:
     """Sampling and tolerance knobs shared by the numeric checks."""
@@ -36,20 +43,16 @@ class VerifySettings:
     precision: int = 50
     rng_seed: int = 20240901
     tol: Optional[float] = None           # default derived from precision
-    rank_threshold: float = 1e-8
-    position_range: Tuple[float, float] = (0.3, 1.2)
-    momentum_range: Tuple[float, float] = (-1.0, 1.0)
 
     @property
     def residual_tol(self) -> float:
         return self.tol if self.tol is not None else 10.0 ** (10 - self.precision)
 
 
-def sample_points(space: PhaseSpace, count: int, rng: random.Random,
-                  settings: VerifySettings) -> List[PhasePoint]:
+def sample_points(space: PhaseSpace, count: int, rng: random.Random) -> List[PhasePoint]:
     """Uniform draws from the regular box, positions then momenta."""
-    lo, hi = settings.position_range
-    mlo, mhi = settings.momentum_range
+    lo, hi = POSITION_RANGE
+    mlo, mhi = MOMENTUM_RANGE
     pts = []
     for _ in range(count):
         coords = {}
@@ -174,7 +177,7 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
 
 def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
                       params: Mapping[str, object],
-                      threshold: float = 1e-8) -> Tuple[Dict[int, int], int, int]:
+                      threshold: float = RANK_THRESHOLD) -> Tuple[Dict[int, int], int, int]:
     """Histogram of numeric Jacobian ranks over the sampled points.
 
     Each gradient row is normalized to unit length before the SVD so that
@@ -315,7 +318,7 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     log("commutation_symbolic", t0)
 
     t0 = time.monotonic()
-    pts = sample_points(model.space, settings.samples, rng, settings)
+    pts = sample_points(model.space, settings.samples, rng)
     worst, used, rej = numeric_commute_check(model.Hbar, K, pts, params,
                                              settings.precision)
     if used < 30:
@@ -332,9 +335,8 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     log("commutation_numeric", t0)
 
     t0 = time.monotonic()
-    pts = sample_points(model.space, settings.samples, rng, settings)
-    hist, used, rej = independence_rank([model.Hbar, K, model.L], pts, params,
-                                        settings.rank_threshold)
+    pts = sample_points(model.space, settings.samples, rng)
+    hist, used, rej = independence_rank([model.Hbar, K, model.L], pts, params)
     full = 3
     share = hist.get(full, 0) / used if used else 0.0
     if used < 30:
@@ -360,7 +362,7 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     log("seed_derivative_nonzero", t0)
 
     t0 = time.monotonic()
-    pts = sample_points(model.space, settings.samples, rng, settings)
+    pts = sample_points(model.space, settings.samples, rng)
     worst, used, rej = fd_crosscheck(model.Hbar, pts, params)
     if used < 30:
         report.add(ClaimResult(
@@ -379,7 +381,7 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
         t0 = time.monotonic()
         golden = golden_K21(model.params["alpha1"], model.params["alpha2"],
                             model.params["omega"])
-        pts = sample_points(model.space, settings.samples, rng, settings)
+        pts = sample_points(model.space, settings.samples, rng)
         const, dev, sym_ok, used, rej = golden_compare(K, golden, pts, params,
                                                        settings.precision)
         pinned = load_golden_constant("ttw_1_1")

@@ -22,7 +22,6 @@ from hamext.cli import main as cli_main
 from hamext.dynamics import (TrajectoryConfig, hamiltons_equations,
                              integrate_adaptive, invariant_values,
                              monitor_invariants)
-from hamext.extension import _compatibility_report
 from hamext.verify import (VerifySettings, golden_compare, independence_rank,
                            sample_points)
 
@@ -141,7 +140,7 @@ def test_criterion_07_golden_comparison():
     params = {"alpha1": 1.25, "alpha2": 1.75, "omega": 2.0 / 3.0}
     settings = VerifySettings(samples=120, rng_seed=424242)
     rng = random.Random(settings.rng_seed)
-    pts = sample_points(mdl.space, 120, rng, settings)
+    pts = sample_points(mdl.space, 120, rng)
     const, dev, sym_ok, used, _ = golden_compare(mdl.Kbar.poly, golden, pts,
                                                  params)
     ok = (used >= 100 and sym_ok is True and dev < 1e-12
@@ -162,10 +161,12 @@ def test_criterion_08_compatibility_conditions():
     perturbed = [
         check_compatibility_conditions(mdl.profile, f + u, h, mdl.seed),
         check_compatibility_conditions(mdl.profile, f, h + u, mdl.seed),
-        _compatibility_report(mdl.profile, f, h, mdl.seed, gamma=mdl.profile.gamma + u ** 3),
-        _compatibility_report(mdl.profile, f, h, mdl.seed, alpha=mdl.profile.alpha + u),
-        _compatibility_report(mdl.profile, f, h, mdl.seed,
-                      G_n=mdl.space.lift(u) * mdl.space.p("q")),
+        check_compatibility_conditions(mdl.profile, f, h, mdl.seed,
+                                       gamma=mdl.profile.gamma + u ** 3),
+        check_compatibility_conditions(mdl.profile, f, h, mdl.seed,
+                                       alpha=mdl.profile.alpha + u),
+        check_compatibility_conditions(mdl.profile, f, h, mdl.seed,
+                                       G_n=mdl.space.lift(u) * mdl.space.p("q")),
     ]
     ok = ok and all(not rep.all_ok for rep in perturbed)
     _report(8, "compatibility conditions pass with recovered f0 = omega; "
@@ -210,7 +211,7 @@ def test_criterion_10_independence_rank():
         (cage_model(2, 1), {"L0": 0.75, "b": 0.5, "omega": 2 / 3, "A": 1.0}),
     ):
         rng = random.Random(settings.rng_seed)
-        pts = sample_points(mdl.space, 100, rng, settings)
+        pts = sample_points(mdl.space, 100, rng)
         hist, used, _ = independence_rank([mdl.Hbar, mdl.Kbar.poly, mdl.L],
                                           pts, params, threshold=1e-8)
         ok = ok and used >= 95 and hist.get(3, 0) >= 0.95 * used

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                         EXIT_SEED, main)
+from hamext.models import CATALOG
 
 
 def run(argv):
@@ -24,6 +25,20 @@ def test_build_ttw(capsys):
     assert doc["model"]["K_degree"] == 3
     assert "p_u^2" in doc["H_modified"]
     assert doc["model"]["branch"] == "even"
+
+
+def test_every_catalog_model_builds(capsys):
+    """``--model NAME`` reaches each catalog builder; ``--A`` reaches only the
+    entries whose parameter schema lists A."""
+    out = {}
+    for name in CATALOG:
+        args = ["build", "--model", name, "--m", "2", "--n", "1"]
+        for extra in ([], ["--A", "2"]):
+            assert run(args + extra) == EXIT_OK
+            out[name, bool(extra)] = capsys.readouterr().out
+        assert json.loads(out[name, False])["model"]["name"] == name
+    assert out["cage", True] != out["cage", False]
+    assert out["ttw", True] == out["ttw", False]
 
 
 def test_build_inline_ok(capsys):

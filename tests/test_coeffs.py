@@ -127,6 +127,22 @@ def test_constant_part(sysv):
     assert (S * S).constant_part() is None
 
 
+def test_undecided_division_raises(sysv, monkeypatch):
+    """A division cut off by the step limit is an error, not "does not divide"."""
+    from hamext import coeffs
+
+    u = sysv.coord("u")
+    f = u + 1
+    num = f * f * f
+    assert coeffs.poly_divexact(num.num, f.num) == (f * f).num
+    assert (num / (f * f)).constant_part() is None
+    monkeypatch.setattr(coeffs, "DIVEXACT_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        coeffs.poly_divexact(num.num, f.num)
+    with pytest.raises(ArithmeticError):
+        (num / (f * f)).constant_part()
+
+
 def test_embed(sysv):
     small = VarSystem([Var.circular("q")])
     big = sysv

@@ -11,7 +11,6 @@ from hamext import (ParamPoly, PhaseSpace, Q, Var, VarSystem, apply_U,
                     make_profile, poisson_bracket, recursion_Gn,
                     solve_linear_seed, tagged_trig, modified_coupling_functions,
                     ttw_model, SeedSolution, SeedConditionError)
-from hamext.extension import _compatibility_report
 
 
 # -- tagged trigonometric functions -------------------------------------------
@@ -354,14 +353,14 @@ def test_compatibility_perturbations_detected():
     rep = check_compatibility_conditions(prof, f, h + u, seed)
     assert "h condition" in rep.failures
 
-    rep = _compatibility_report(prof, f, h, seed, gamma=prof.gamma + u * u * u)
+    rep = check_compatibility_conditions(prof, f, h, seed, gamma=prof.gamma + u * u * u)
     assert "gamma ODE" in rep.failures
 
-    rep = _compatibility_report(prof, f, h, seed, alpha=prof.alpha + u)
+    rep = check_compatibility_conditions(prof, f, h, seed, alpha=prof.alpha + u)
     assert "alpha = -gamma'" in rep.failures
 
     bad_G = mdl.space.lift(u) * mdl.space.p("q")
-    rep = _compatibility_report(prof, f, h, seed, G_n=bad_G)
+    rep = check_compatibility_conditions(prof, f, h, seed, G_n=bad_G)
     assert "scaled seed identity" in rep.failures
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamext import (ParamPoly, PhasePoint, PhaseSpace, PhaseSpaceMismatch,
-                    Q, Var, VarSystem, apply_U, apply_W, apply_XL,
+                    Q, Var, VarSystem, apply_U, apply_W, apply_XL, confinement,
                     poisson_bracket)
 
 from conftest import ppoly_strategy
@@ -169,6 +169,14 @@ def test_apply_W_reductions(space):
     assert (apply_W(plain, L, G)
             - apply_U(plain, L, apply_U(plain, L, G))).is_zero
     assert apply_W(plain, L, space.zero()).is_zero
+
+
+def test_confinement(space):
+    sysv = space.system
+    u = sysv.coord("u")
+    prof = SimpleNamespace(gamma=sysv.one() / u, space=space, omega=ParamPoly.var("omega"))
+    assert (confinement(prof) - sysv.param("omega") * u * u).is_zero
+    assert confinement(SimpleNamespace(gamma=sysv.zero(), space=space, omega=0)).is_zero
 
 
 def test_apply_W_substitution_formula(space):

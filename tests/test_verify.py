@@ -23,7 +23,7 @@ def ttw(ttw11):
 
 def _points(model, settings, n=None):
     rng = random.Random(settings.rng_seed)
-    return sample_points(model.space, n or settings.samples, rng, settings)
+    return sample_points(model.space, n or settings.samples, rng)
 
 
 def test_symbolic_commute_pairs(ttw):
