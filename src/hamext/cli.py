@@ -85,6 +85,9 @@ class JobConfig:
 
 JobConfig.KNOWN = set(JobConfig.__dataclass_fields__)
 
+#: Fields that only the inline model reads; catalog models refuse them.
+INLINE_ONLY = ("V", "eta", "L0", "c", "kappa")
+
 
 def _rat(text: str) -> Q:
     try:
@@ -186,6 +189,12 @@ def make_config(argv: Sequence[str]) -> JobConfig:
     if "param" in data and not isinstance(data["param"], dict):
         data["param"] = _parse_params(data["param"])
     data = {k: v for k, v in data.items() if k in JobConfig.KNOWN}
+    model = data.get("model", JobConfig.model)
+    given = [k for k in INLINE_ONLY if k in data]
+    if data["command"] in ("build", "verify", "simulate") and model in CATALOG and given:
+        flags = ", ".join(f"--{k}" for k in given)
+        raise ConfigError(f"{flags}: only --model inline reads these; the catalog "
+                          f"model {model!r} takes --m, --n, --omega and its parameters")
     cfg = JobConfig(**data)
     if cfg.m < 1 or cfg.n < 1:
         raise ConfigError("m and n must be positive integers")

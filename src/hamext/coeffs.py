@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import mpmath
 
-from .params import ParamPoly, Q, QONE, QZERO, as_parampoly, as_q
+from .params import ParamPoly, Q, QONE, QZERO, as_parampoly, as_q, from_numerators
 
 Mono = Tuple[int, ...]
 
@@ -293,7 +293,7 @@ class Poly:
 
     def _accumulate(self, acc: Dict[Mono, ParamPoly], mono: Mono, pp: ParamPoly):
         cur = acc.get(mono)
-        s = pp if cur is None else cur + pp
+        s = pp if cur is None else cur._plus(pp, 1)
         if s.is_zero:
             acc.pop(mono, None)
         else:
@@ -309,7 +309,15 @@ class Poly:
         return Poly(self.sys, {m: -pp for m, pp in self.terms.items()})
 
     def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
+        acc = dict(self.terms)
+        for m, pp in other.terms.items():
+            cur = acc.get(m)
+            s = -pp if cur is None else cur - pp
+            if s.is_zero:
+                acc.pop(m, None)
+            else:
+                acc[m] = s
+        return Poly(self.sys, acc)
 
     def scale(self, pp: ParamPoly) -> "Poly":
         if pp.is_zero:
@@ -325,30 +333,47 @@ class Poly:
         return Poly(self.sys, {m: pp.scale(q) for m, pp in self.terms.items()}) if q != 1 else self
 
     def mul(self, other: "Poly") -> "Poly":
-        # Sums go into private dicts, with the pop-on-zero and re-insert
-        # order of _accumulate and ParamPoly.__add__ at both levels.
+        # Sums go into private [int numerators, den] pairs, with the
+        # pop-on-zero and re-insert order of _accumulate and
+        # ParamPoly.__add__ at both levels.  A new denominator rescales a
+        # pair to the lcm, and a nonzero factor never changes which sums
+        # vanish.
         sys = self.sys
-        acc: Dict[Mono, Dict] = {}
+        acc: Dict[Mono, list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                prod = (c1 * c2).terms
+                pnums, pk, pden = c1._times(c2)
                 for mono, q in _reduce_raw(sys, _mono_add(m1, m2)):
+                    k, d = pk * q.numerator, q.denominator * pden
                     cur = acc.get(mono)
                     if cur is None:
-                        acc[mono] = dict(prod) if q == 1 else {pm: c * q for pm, c in prod.items()}
+                        acc[mono] = [dict(pnums) if k == 1 else
+                                     {pm: c * k for pm, c in pnums.items()}, d]
                         continue
-                    for pm, c in prod.items():
-                        if q != 1:
-                            c = c * q
-                        s = cur.get(pm)
-                        s = c if s is None else s + c
+                    nums, den = cur
+                    if d != den:
+                        g = math.gcd(den, d)
+                        up = d // g
+                        if up != 1:
+                            for pm, c in nums.items():
+                                nums[pm] = c * up
+                            cur[1] = den * up
+                        k *= den // g
+                    for pm, c in pnums.items():
+                        if k != 1:
+                            c = c * k
+                        s = nums.get(pm)
+                        if s is None:
+                            nums[pm] = c
+                            continue
+                        s = s + c
                         if s:
-                            cur[pm] = s
+                            nums[pm] = s
                         else:
-                            del cur[pm]
-                    if not cur:
+                            del nums[pm]
+                    if not nums:
                         del acc[mono]
-        return Poly(sys, {mono: ParamPoly(t) for mono, t in acc.items()})
+        return Poly(sys, {mono: from_numerators(nums, den) for mono, (nums, den) in acc.items()})
 
     def mul_mono(self, mono: Mono) -> "Poly":
         if mono == self.sys.unit_mono:
@@ -374,6 +399,11 @@ class Poly:
         sys = self.sys
         v = sys.var(name)
         off = sys.offset(name)
+        # rate and -tag*rate as int pairs; each factor is reduced before it
+        # scales a coefficient
+        rn, rd = v.rate.numerator, v.rate.denominator
+        tag_rate = -v.tag * v.rate
+        tn, td = tag_rate.numerator, tag_rate.denominator
         acc: Dict[Mono, ParamPoly] = {}
         for m, c in self.terms.items():
             if v.is_linear:
@@ -382,7 +412,7 @@ class Poly:
                     continue
                 m2 = list(m)
                 m2[off] = e - 1
-                self._accumulate(acc, tuple(m2), c.scale(Q(e)))
+                self._accumulate(acc, tuple(m2), c.scale(e))
             else:
                 cexp, sexp = m[off], m[off + 1]
                 # d(C^b S^a) = rate * (a C^(b+1) S^(a-1) - tag*b C^(b-1) S^(a+1))
@@ -391,12 +421,16 @@ class Poly:
                     raw[off] = cexp + 1
                     raw[off + 1] = sexp - 1
                     for m2, q in _reduce_raw(sys, tuple(raw)):
-                        self._accumulate(acc, m2, c.scale(q * v.rate * sexp))
+                        n, d = q.numerator * rn * sexp, q.denominator * rd
+                        g = math.gcd(n, d)
+                        self._accumulate(acc, m2, c._scaled(n // g, d // g))
                 if cexp:
                     raw = list(m)
                     raw[off] = cexp - 1
                     raw[off + 1] = sexp + 1
-                    self._accumulate(acc, tuple(raw), c.scale(-v.tag * v.rate * cexp))
+                    n = tn * cexp
+                    g = math.gcd(n, td)
+                    self._accumulate(acc, tuple(raw), c._scaled(n // g, td // g))
         return Poly(self.sys, acc)
 
     def content(self) -> Mono:
@@ -456,7 +490,7 @@ class Poly:
                 parts.append(gstr)
             elif pp == ParamPoly.scalar(-1):
                 parts.append(f"-{gstr}")
-            elif len(pp.terms) == 1:
+            elif len(pp.nums) == 1:
                 parts.append(f"{ps}*{gstr}")
             else:
                 parts.append(f"({ps})*{gstr}")
@@ -632,8 +666,14 @@ class CanonicalCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        return self._plus(o, 1)
+
+    __radd__ = __add__
+
+    def _plus(self, o: "CanonicalCoeff", sign: int) -> "CanonicalCoeff":
+        """self + sign*o for sign = +-1, without building -o."""
         if self.is_zero:
-            return o
+            return o if sign == 1 else -o
         if o.is_zero:
             return self
         lcm_mono = _mono_max(self.den_mono, o.den_mono)
@@ -649,10 +689,9 @@ class CanonicalCoeff:
                     num = num.mul(f.pow(extra))
             return num
 
-        num = raise_num(self).add(raise_num(o))
+        a, b = raise_num(self), raise_num(o)
+        num = a.add(b) if sign == 1 else a.sub(b)
         return self._normalize(self.sys, num, lcm_mono, tuple(lcm_fac.items()))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return CanonicalCoeff(self.sys, self.num.neg(), self.den_mono, self.den_factors)
@@ -661,13 +700,13 @@ class CanonicalCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)

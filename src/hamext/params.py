@@ -8,13 +8,10 @@ a caller evaluates or substitutes explicitly.
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd
 from typing import Dict, Mapping, Optional, Tuple, Union
-
-try:  # gmpy2 rationals are a drop-in speedup for the large bracket runs
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
 
 #: Parameter alphabet of the coefficient ring, in canonical order.
 PARAMS: Tuple[str, ...] = (
@@ -72,31 +69,53 @@ def _pmono_str(m: PMono) -> str:
 class ParamPoly:
     """Multivariate polynomial in the free parameters over exact rationals.
 
-    Immutable; all operations return new instances.  The stored dictionary
-    never holds zero coefficients, so structural equality is semantic
-    equality and ``is_zero`` is a dictionary emptiness test.
+    Stored as integer numerators over one common denominator: ``nums`` maps
+    each monomial to a nonzero int and ``den`` is a positive int with
+    ``gcd(den, *nums.values()) == 1``, so structural equality is semantic
+    equality and ``is_zero`` is a dictionary emptiness test.  ``terms`` is
+    the rational view, one reduced ``Fraction`` per monomial in the same
+    order.  Immutable; all operations return new instances, and a kernel
+    that needs no new value may return an operand itself.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("nums", "den", "_hash")
 
-    def __init__(self, terms: Mapping[PMono, Q]):
-        self.terms: Dict[PMono, Q] = dict(terms)
+    def __init__(self, terms: Mapping[PMono, object]):
+        qs = [(m, c if type(c) is Q else as_q(c)) for m, c in terms.items()]
+        den = 1
+        for _, q in qs:
+            d = q.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it
+        self.nums: Dict[PMono, int] = {
+            m: q.numerator * (den // q.denominator) for m, q in qs if q}
+        self.den: int = den
         self._hash = None
+
+    @property
+    def terms(self) -> Dict[PMono, Q]:
+        """The reduced rational coefficient of each monomial, in order."""
+        den = self.den
+        if den == 1:
+            return {m: Q(c) for m, c in self.nums.items()}
+        return {m: Q(c, den) for m, c in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ParamPoly":
-        return cls({})
+        return _make({}, 1)
 
     @classmethod
     def one(cls) -> "ParamPoly":
-        return cls({PUNIT: QONE})
+        return _make({PUNIT: 1}, 1)
 
     @classmethod
     def scalar(cls, x) -> "ParamPoly":
         q = as_q(x)
-        return cls({PUNIT: q} if q != 0 else {})
+        return _make({PUNIT: q.numerator}, q.denominator) if q else _make({}, 1)
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "ParamPoly":
@@ -106,24 +125,25 @@ class ParamPoly:
             raise ValueError("parameter exponents must be non-negative")
         if exp == 0:
             return cls.one()
-        return cls({((PARAM_INDEX[name], exp),): QONE})
+        return _make({((PARAM_INDEX[name], exp),): 1}, 1)
 
     # -- predicates -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_one(self) -> bool:
-        return self.terms == {PUNIT: QONE}
+        return self.den == 1 and self.nums == {PUNIT: 1}
 
     def as_scalar(self) -> Optional[Q]:
         """The rational value if this polynomial is constant, else None."""
-        if not self.terms:
+        nums = self.nums
+        if not nums:
             return QZERO
-        if len(self.terms) == 1 and PUNIT in self.terms:
-            return self.terms[PUNIT]
+        if len(nums) == 1 and PUNIT in nums:
+            return Q(nums[PUNIT], self.den)
         return None
 
     # -- arithmetic -----------------------------------------------------
@@ -132,16 +152,26 @@ class ParamPoly:
     def _coerce(other) -> Optional["ParamPoly"]:
         if isinstance(other, ParamPoly):
             return other
-        if isinstance(other, (int, type(QONE))):
+        if isinstance(other, (int, Q)):
             return ParamPoly.scalar(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
+    def _plus(self, o: "ParamPoly", sign: int) -> "ParamPoly":
+        """self + sign*o for sign = +-1, in one pass over o's terms."""
+        if not o.nums:
+            return self
+        if not self.nums and sign == 1:
+            return o
+        da, db = self.den, o.den
+        if da == db:
+            den, fa, fb = da, 1, sign
+        else:
+            g = gcd(da, db)
+            den, fa, fb = da // g * db, db // g, sign * (da // g)
+        out = dict(self.nums) if fa == 1 else {m: c * fa for m, c in self.nums.items()}
+        for m, c in o.nums.items():
+            if fb != 1:
+                c = c * fb
             s = out.get(m)
             if s is None:
                 out[m] = c
@@ -151,52 +181,59 @@ class ParamPoly:
                 out[m] = s
             else:
                 del out[m]
-        return ParamPoly(out)
+        return from_numerators(out, den)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({m: -c for m, c in self.terms.items()})
+        return _make({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.terms, o.terms
+        a, b = self.nums, o.nums
         # a constant factor keeps the other operand's term order, and a
         # unit factor returns it unchanged
         if len(b) == 1 and PUNIT in b:
-            return self.scale(b[PUNIT])
+            return self._scaled(b[PUNIT], o.den)
         if len(a) == 1 and PUNIT in a:
-            return o.scale(a[PUNIT])
-        out: Dict[PMono, Q] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _pmono_mul(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                    continue
-                s = s + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return ParamPoly(out)
+            return o._scaled(a[PUNIT], self.den)
+        return from_numerators(_product(a, b), self.den * o.den)
 
     __rmul__ = __mul__
+
+    def _times(self, o: "ParamPoly") -> Tuple[Dict[PMono, int], int, int]:
+        """``(nums, k, den)`` with self*o == k*nums/den, not reduced.
+
+        For a constant factor ``nums`` is the other operand's own dict,
+        so callers only read it; the term order is that of ``__mul__``.
+        """
+        a, b = self.nums, o.nums
+        den = self.den * o.den
+        if len(b) == 1 and PUNIT in b:
+            return a, b[PUNIT], den
+        if len(a) == 1 and PUNIT in a:
+            return b, a[PUNIT], den
+        return _product(a, b), 1, den
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -211,20 +248,33 @@ class ParamPoly:
         return acc
 
     def scale(self, q) -> "ParamPoly":
+        if type(q) is int:
+            return self._scaled(q, 1)
         if type(q) is not Q:
             q = as_q(q)
-        if q == 1:
+        return self._scaled(q.numerator, q.denominator)
+
+    def _scaled(self, n: int, d: int) -> "ParamPoly":
+        """self * n/d for coprime ints n and d > 0."""
+        if n == d:
             return self
-        if q == 0:
-            return ParamPoly.zero()
-        return ParamPoly({m: c * q for m, c in self.terms.items()})
+        if not n:
+            return _make({}, 1)
+        # gcd(den, nums) == 1 and gcd(n, d) == 1, so with d == 1 the only
+        # common factor of the result is gcd(n, den)
+        g = gcd(n, self.den)
+        if g != 1:
+            n //= g
+        nums = {m: c * n for m, c in self.nums.items()}
+        den = self.den // g * d
+        return _make(nums, den) if d == 1 else from_numerators(nums, den)
 
     # -- structure ------------------------------------------------------
 
     def leading(self) -> Tuple[PMono, Q]:
         """Graded-lex leading monomial and its coefficient."""
-        m = max(self.terms, key=_pmono_key)
-        return m, self.terms[m]
+        m = max(self.nums, key=_pmono_key)
+        return m, Q(self.nums[m], self.den)
 
     def divexact(self, other: "ParamPoly") -> Optional["ParamPoly"]:
         """Exact quotient self/other, or None if other does not divide."""
@@ -232,7 +282,7 @@ class ParamPoly:
             raise ZeroDivisionError("division by the zero parameter polynomial")
         if other.is_one:
             return self
-        rem = dict(self.terms)
+        rem = self.terms
         quot: Dict[PMono, Q] = {}
         lm, lc = other.leading()
         lexps = dict(lm)
@@ -279,10 +329,16 @@ class ParamPoly:
         return out
 
     def evaluate(self, values: Mapping[str, object], conv=float):
-        """Numeric value with parameters taken from ``values``."""
+        """Numeric value with parameters taken from ``values``.
+
+        Each term starts from its reduced numerator and denominator,
+        ``conv(n) / conv(d)``.
+        """
         total = conv(0)
-        for m, c in self.terms.items():
-            term = conv(c.numerator) / conv(c.denominator)
+        den = self.den
+        for m, c in self.nums.items():
+            g = gcd(c, den)
+            term = conv(c // g) / conv(den // g)
             for i, e in m:
                 name = PARAMS[i]
                 if name not in values:
@@ -297,11 +353,11 @@ class ParamPoly:
         return tuple(sorted(self.terms.items(), key=lambda kv: _pmono_key(kv[0]), reverse=True))
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(QONE))):
+        if isinstance(other, (int, Q)):
             other = ParamPoly.scalar(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         if self._hash is None:
@@ -309,7 +365,7 @@ class ParamPoly:
         return self._hash
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for m, c in self.sorted_items():
@@ -328,6 +384,50 @@ class ParamPoly:
         return out
 
     __repr__ = __str__
+
+
+def _product(a: Dict[PMono, int], b: Dict[PMono, int]) -> Dict[PMono, int]:
+    out: Dict[PMono, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _pmono_mul(m1, m2)
+            c = c1 * c2
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+                continue
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+_new = object.__new__
+
+
+def _make(nums: Dict[PMono, int], den: int) -> ParamPoly:
+    # trusted: den > 0, no zero numerator, gcd(den, *nums.values()) == 1
+    p = _new(ParamPoly)
+    p.nums = nums
+    p.den = den
+    p._hash = None
+    return p
+
+
+def from_numerators(nums: Dict[PMono, int], den: int) -> ParamPoly:
+    """The ParamPoly ``nums / den``, taking ownership of ``nums``.
+
+    ``nums`` holds nonzero ints and ``den`` is positive; their common
+    factor is divided out.
+    """
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+    return _make(nums, den)
 
 
 def as_parampoly(x) -> ParamPoly:

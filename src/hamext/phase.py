@@ -181,13 +181,24 @@ class PPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._minus(o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._minus(self)
+
+    def _minus(self, o: "PPoly") -> "PPoly":
+        acc = dict(self.terms)
+        for pe, c in o.terms.items():
+            cur = acc.get(pe)
+            s = -c if cur is None else cur - c
+            if s.is_zero:
+                acc.pop(pe, None)
+            else:
+                acc[pe] = s
+        return PPoly(self.space, acc)
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -41,6 +41,25 @@ def test_every_catalog_model_builds(capsys):
     assert out["ttw", True] == out["ttw", False]
 
 
+def test_catalog_models_refuse_inline_flags(tmp_path, capsys):
+    """--V, --eta, --L0, --c and --kappa are read only by --model inline, so
+    a catalog model refuses them, by flag or from a --config file."""
+    flags = {"V": "q^2", "eta": "q", "L0": "2", "c": "1", "kappa": "1"}
+    for command in ("build", "verify", "simulate"):
+        for name in CATALOG:
+            for key, value in flags.items():
+                args = [command, "--model", name, "--m", "2", "--n", "1"]
+                assert run(args + [f"--{key}", value]) == EXIT_CONFIG
+                assert f"--{key}:" in capsys.readouterr().err
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps({"model": "cage", "kappa": 0}))
+    assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "--kappa:" in capsys.readouterr().err
+    # the default model is a catalog model too
+    assert run(["build", "--L0", "2", "--V", "q^2"]) == EXIT_CONFIG
+    assert "--V, --L0:" in capsys.readouterr().err
+
+
 def test_build_inline_ok(capsys):
     rc = run(["build", "--model", "inline", "--c", "1", "--kappa", "0",
               "--V", "(c1 + c2*cos(q))/sin(q)^2", "--eta", "sin(q)",

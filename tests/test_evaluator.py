@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hamext import PhaseSpace, Q, Var, VarSystem, cage_model, ttw_model
+from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, cage_model, ttw_model
 from hamext.cli import build_model, make_config
 from hamext.coeffs import Poly, SingularEvaluation
 from hamext.dynamics import compile_ppoly
@@ -184,6 +184,17 @@ def test_coeff_matches_reference(name):
         assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
 
     check()
+
+
+def test_param_constants_start_from_reduced_terms():
+    """Above 2**53 a numerator rounds when converted, so each constant must
+    start from its term's own reduced numerator and denominator, as with
+    ``Fraction`` coefficients, not from the shared common denominator."""
+    c1 = ((PARAMS.index("c1"), 1),)
+    pp = ParamPoly({(): Q(1, 3), c1: Q(10**17 + 10, 7)})
+    assert pp.den == 21
+    for conv in (float, ref_mp_conv):
+        assert pp.evaluate(PARAM_VALUES, conv) == ref_param_evaluate(pp, PARAM_VALUES, conv)
 
 
 @given(ppoly_strategy(SPACES["circular"]), points)

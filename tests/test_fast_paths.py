@@ -2,11 +2,17 @@
 
 The reference functions below are the straightforward versions of
 ``ParamPoly.__add__``/``__mul__``/``scale``, ``Poly.mul``,
-``CanonicalCoeff.differentiate`` and ``PPoly.poisson``.  The fast paths must
-give the same values *and* the same dict insertion order at every nesting
-level, because numeric evaluation sums terms in that order.  They must also
-leave their operands untouched.
+``CanonicalCoeff.differentiate`` and ``PPoly.poisson``, computed on the
+``Fraction`` view ``ParamPoly.terms``; subtraction is checked against the
+plain ``self + (-o)`` at every level.  The fast paths must give the same
+values *and* the same dict insertion order at every nesting level, because
+numeric evaluation sums terms in that order.  They must also leave their
+operands untouched, and every ParamPoly they return must be in canonical
+form: integer numerators, none zero, over a positive denominator that
+shares no factor with all of them.
 """
+
+from math import gcd
 
 from hypothesis import given, strategies as st
 
@@ -90,7 +96,7 @@ def ref_differentiate(coeff, name):
             if j != i:
                 piece = ref_poly_mul(piece, g)
         dden = dden.add(ref_poly_mul(mono_poly, piece))
-    top = top.sub(ref_poly_mul(coeff.num, dden))
+    top = top.add(ref_poly_mul(coeff.num, dden).neg())
     new_fac = tuple((f, k + 1) for f, k in coeff.den_factors)
     return coeff._normalize(sys, top, tuple(2 * e for e in coeff.den_mono), new_fac)
 
@@ -108,7 +114,7 @@ def ref_poisson(f, o):
         if not dp_self.is_zero:
             dq_other = o.d_position(name)
             if not dq_other.is_zero:
-                out = out - dp_self * dq_other
+                out = out + (-(dp_self * dq_other))
     return out
 
 
@@ -130,6 +136,33 @@ def coeff_items(c):
 
 def ppoly_items(f):
     return [(pe, coeff_items(c)) for pe, c in f.terms.items()]
+
+
+# -- canonical form ------------------------------------------------------------
+
+
+def assert_canonical(pp):
+    assert type(pp.den) is int and pp.den > 0
+    assert all(type(c) is int and c != 0 for c in pp.nums.values())
+    assert gcd(pp.den, *pp.nums.values()) == 1
+    assert list(pp.terms) == list(pp.nums)
+    assert all(q == Q(c, pp.den) for q, c in zip(pp.terms.values(), pp.nums.values()))
+
+
+def assert_canonical_poly(poly):
+    for pp in poly.terms.values():
+        assert_canonical(pp)
+
+
+def assert_canonical_coeff(c):
+    assert_canonical_poly(c.num)
+    for f, _ in c.den_factors:
+        assert_canonical_poly(f)
+
+
+def assert_canonical_ppoly(f):
+    for c in f.terms.values():
+        assert_canonical_coeff(c)
 
 
 # Circular q with tag 1, and q with tag 2 and rate 3, so that Pythagorean
@@ -156,9 +189,12 @@ def polys(sys):
 def test_parampoly_mul_and_add(a, b):
     before = (pp_items(a), pp_items(b))
     for x, y in ((a, b), (b, a), (a + b, a - b), (a - b, b - a)):
-        assert pp_items(x * y) == pp_items(ref_pp_mul(x, y))
-        assert pp_items(x + y) == pp_items(ref_pp_add(x, y))
-        assert pp_items(x - y) == pp_items(ref_pp_add(x, -y))
+        for got, want in ((x * y, ref_pp_mul(x, y)), (x + y, ref_pp_add(x, y)),
+                          (x - y, ref_pp_add(x, -y)), (-x, ref_pp_scale(x, -1))):
+            assert pp_items(got) == pp_items(want)
+            assert_canonical(got)
+    for k in (1, Q(-3, 4)):
+        assert pp_items(k - a) == pp_items(ref_pp_add(ParamPoly.scalar(k), -a))
     assert (pp_items(a), pp_items(b)) == before
 
 
@@ -166,7 +202,16 @@ def test_parampoly_mul_and_add(a, b):
 def test_parampoly_scale(a, q):
     before = pp_items(a)
     assert pp_items(a.scale(q)) == pp_items(ref_pp_scale(a, q))
+    assert_canonical(a.scale(q))
     assert pp_items(a) == before
+
+
+@given(st.dictionaries(st.sampled_from([(), ((0, 1),), ((1, 2),), ((0, 1), (3, 1))]),
+                       st.fractions(max_denominator=12) | st.integers(-5, 5)))
+def test_parampoly_from_rationals(terms):
+    pp = ParamPoly(terms)
+    assert_canonical(pp)
+    assert pp_items(pp) == [(m, Q(c)) for m, c in terms.items() if c]
 
 
 def test_parampoly_unit_operand_is_returned():
@@ -185,6 +230,9 @@ def test_poly_mul(data):
     for x, y in ((a, b), (b, a), (a.add(b), a.sub(b)), (a.add(b), b.sub(a)),
                  (a, a)):
         assert poly_items(x.mul(y)) == poly_items(ref_poly_mul(x, y))
+        assert poly_items(x.sub(y)) == poly_items(x.add(y.neg()))
+        assert_canonical_poly(x.mul(y))
+        assert_canonical_poly(x.sub(y))
     assert (poly_items(a), poly_items(b)) == before
 
 
@@ -205,7 +253,20 @@ def test_differentiate(data):
     before = coeff_items(c)
     for name in ("q", "u"):
         assert coeff_items(c.differentiate(name)) == coeff_items(ref_differentiate(c, name))
+        assert_canonical_coeff(c.differentiate(name))
     assert coeff_items(c) == before
+
+
+@given(st.data())
+def test_coeff_sub(data):
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    a, b = data.draw(coeff_strategy(sys)), data.draw(coeff_strategy(sys))
+    before = (coeff_items(a), coeff_items(b))
+    for x, y in ((a, b), (b, a), (a, a), (a, sys.zero()), (sys.zero(), a)):
+        assert coeff_items(x - y) == coeff_items(x + (-y))
+        assert_canonical_coeff(x - y)
+    assert coeff_items(2 - a) == coeff_items(sys.lift(2) + (-a))
+    assert (coeff_items(a), coeff_items(b)) == before
 
 
 @given(st.data())
@@ -216,6 +277,10 @@ def test_poisson(data):
     before = (ppoly_items(f), ppoly_items(g))
     assert ppoly_items(f.poisson(g)) == ppoly_items(ref_poisson(f, g))
     assert ppoly_items(g.poisson(f)) == ppoly_items(ref_poisson(g, f))
+    assert_canonical_ppoly(f.poisson(g))
+    for x, y in ((f, g), (g, f), (f, f)):
+        assert ppoly_items(x - y) == ppoly_items(x + (-y))
+    assert ppoly_items(1 - f) == ppoly_items(space.lift(1) + (-f))
     assert (ppoly_items(f), ppoly_items(g)) == before
 
 
