@@ -15,9 +15,10 @@ zero test is an exact dictionary emptiness check and never a heuristic.
 
 Fractions are combined over common denominators without polynomial GCDs;
 denominators are kept factored as monomial * product of normalized
-multi-term factors, which keeps the everyday monomial denominators fully
-cancelled.  Optional GCD-style compaction is available behind
-``CanonicalCoeff.compact`` for expression-swell control.
+multi-term factors.  Every result cancels the monomial content and each
+factor that exactly divides its numerator, so the stored form does not
+depend on the order of sums and products; Pythagorean factors (a C^2 of
+the denominator) are cancelled only by ``CanonicalCoeff.compact``.
 
 All values are immutable after construction and safe to share.
 """
@@ -544,12 +545,57 @@ def _factor_sort_key(item):
     return (poly.sort_key(), mult)
 
 
+def _is_pythagorean(sys: VarSystem, f: Poly) -> bool:
+    """Whether f is the normalized factor S^2 - 1/tag, a denominator C^2."""
+    if len(f.terms) != 2:
+        return False
+    unit = sys.unit_mono
+    c0 = f.terms.get(unit)
+    if c0 is None:
+        return False
+    for v, off in zip(sys.vars, sys._offset):
+        if v.is_linear:
+            continue
+        smono = list(unit)
+        smono[off + 1] = 2
+        c2 = f.terms.get(tuple(smono))
+        if c2 is not None:
+            return c2.is_one and c0 == ParamPoly.scalar(-QONE / v.tag)
+    return False
+
+
+def _divide_out(num: Poly, f: Poly, k: int) -> Tuple[Poly, int]:
+    """Divide num by f while it divides, at most k times; (num, k left)."""
+    sys = num.sys
+    const = f.terms.get(sys.unit_mono) if len(f.terms) == 1 else None
+    while k > 0:
+        if const is not None:
+            divided: Dict[Mono, ParamPoly] = {}
+            for m, pp in num.terms.items():
+                q = pp.divexact(const)
+                if q is None:
+                    divided = None
+                    break
+                divided[m] = q
+            quot = Poly(sys, divided) if divided is not None else None
+        else:
+            quot = poly_divexact(num, f)
+        if quot is None:
+            break
+        num = quot
+        k -= 1
+    return num, k
+
+
 class CanonicalCoeff:
     """Canonically-normalized fraction of generator polynomials.
 
     The denominator is stored as a monomial together with a multiset of
     normalized multi-term factors.  Zero testing reduces to emptiness of
-    the numerator, which is exact in this restricted ring.
+    the numerator, which is exact in this restricted ring.  Every result
+    cancels the denominator factors that divide its numerator, except the
+    Pythagorean ones (see ``_normalize``), so a value reached by sums or
+    products in a different order is stored, compared and rendered alike.
     """
 
     __slots__ = ("sys", "num", "den_mono", "den_factors", "_hash")
@@ -615,6 +661,18 @@ class CanonicalCoeff:
 
         if num_scale != 1:
             num = num.scale_q(QONE / num_scale)
+
+        # Cancel the factors that divide the numerator.  A Pythagorean
+        # factor (a C^2 of the denominator) stays until compact(): the
+        # rendered output of models built over tagged variables keeps it.
+        for f, k in list(fac_acc.items()):
+            if _is_pythagorean(sys, f):
+                continue
+            num, k = _divide_out(num, f, k)
+            if k:
+                fac_acc[f] = k
+            else:
+                del fac_acc[f]
 
         den_mono = tuple(den)
         cont = _mono_min(num.content(), den_mono)
@@ -833,29 +891,13 @@ class CanonicalCoeff:
     def compact(self) -> "CanonicalCoeff":
         """Cancel denominator factors that exactly divide the numerator.
 
-        This is the optional GCD-style compaction; default arithmetic does
-        not attempt it.
+        Arithmetic already cancels every factor but the Pythagorean ones;
+        this also cancels those.
         """
         num = self.num
         remaining: List[Tuple[Poly, int]] = []
         for f, k in self.den_factors:
-            const = f.terms.get(self.sys.unit_mono) if len(f.terms) == 1 else None
-            while k > 0:
-                if const is not None:
-                    divided: Dict[Mono, ParamPoly] = {}
-                    for m, pp in num.terms.items():
-                        q = pp.divexact(const)
-                        if q is None:
-                            divided = None
-                            break
-                        divided[m] = q
-                    quot = Poly(self.sys, divided) if divided is not None else None
-                else:
-                    quot = poly_divexact(num, f)
-                if quot is None:
-                    break
-                num = quot
-                k -= 1
+            num, k = _divide_out(num, f, k)
             if k:
                 remaining.append((f, k))
         return self._normalize(self.sys, num, self.den_mono, tuple(remaining))

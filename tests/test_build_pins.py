@@ -70,3 +70,22 @@ def test_build_pin(model, m, n, capsys, monkeypatch):
     got = (hashlib.sha256(text.encode()).hexdigest(),
            order_signature(spec.Hbar), order_signature(spec.Kbar.poly))
     assert got == GOLDEN[(model, m, n)]
+
+
+# The inline model of the benchmark's exact workload: its denominators carry
+# Pythagorean factors (sin(u)^2 - 1) that arithmetic leaves uncancelled.
+# Recorded before arithmetic cancelled the factors that divide a numerator.
+INLINE_GOLDEN = {
+    1: "0c123ea919d7a5649cf561cb60e9a7690ec1d60487563c82d5ee5aaa995400d5",
+    -1: "91fca1a73268d297f6390ce353ce1292307b6406bd0c13e1f6ede193ef76f62b",
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(INLINE_GOLDEN))
+def test_inline_build_pin(kappa, capsys):
+    argv = ["build", "--model", "inline", "--c", "1", "--kappa", str(kappa),
+            "--A", "1", "--omega", "sym", "--V", "(c1 + c2*cos(q))/sin(q)^2",
+            "--eta", "sin(q)", "--m", "4", "--n", "3"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == INLINE_GOLDEN[kappa]

@@ -118,6 +118,18 @@ def test_compact_cancels_structural_units(sysv):
     assert prod.compact() == sysv.one()
 
 
+def test_arithmetic_cancels_dividing_factors(sysv):
+    u, S = sysv.coord("u"), sysv.S("q")
+    a = sysv.one() / (u + 1)
+    left = (sysv.one() + a) - a
+    assert left == sysv.one() + (a - a)
+    assert left.render() == "1"
+    assert (u + 1) * a == sysv.one()
+    b = sysv.param("c1") / (u + S) ** 2
+    assert b * (u + S) * (u + S) == sysv.param("c1")
+    assert (b * (u + S)).den_factors == b.den_factors
+
+
 def test_constant_part(sysv):
     S = sysv.S("q")
     g2 = (sysv.C("q") / S) ** 2
