@@ -34,7 +34,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import mpmath
 
-from .params import ParamPoly, Q, QONE, QZERO, as_parampoly, as_q, from_numerators
+from .params import (ParamPoly, Q, QONE, QZERO, as_parampoly, as_q, from_numerators,
+                     join_signed, power)
 
 Mono = Tuple[int, ...]
 
@@ -292,43 +293,42 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _accumulate(self, acc: Dict[Mono, ParamPoly], mono: Mono, pp: ParamPoly):
+    def _accumulate(self, acc: Dict[Mono, ParamPoly], mono: Mono, pp: ParamPoly,
+                    sign: int = 1):
+        """acc[mono] += sign*pp: a new term goes last, a zero sum is popped."""
         cur = acc.get(mono)
-        s = pp if cur is None else cur._plus(pp, 1)
+        if cur is None:
+            s = pp if sign == 1 else -pp
+        else:
+            s = cur._plus(pp, sign)
         if s.is_zero:
             acc.pop(mono, None)
         else:
             acc[mono] = s
 
-    def add(self, other: "Poly") -> "Poly":
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other for sign = +-1, in one pass over other's terms."""
         acc = dict(self.terms)
         for m, pp in other.terms.items():
-            self._accumulate(acc, m, pp)
+            self._accumulate(acc, m, pp, sign)
         return Poly(self.sys, acc)
+
+    def add(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def neg(self) -> "Poly":
         return Poly(self.sys, {m: -pp for m, pp in self.terms.items()})
 
     def sub(self, other: "Poly") -> "Poly":
-        acc = dict(self.terms)
-        for m, pp in other.terms.items():
-            cur = acc.get(m)
-            s = -pp if cur is None else cur - pp
-            if s.is_zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return Poly(self.sys, acc)
+        return self._plus(other, -1)
 
     def scale(self, pp: ParamPoly) -> "Poly":
         if pp.is_zero:
             return Poly(self.sys, {})
         if pp.is_one:
             return self
-        acc: Dict[Mono, ParamPoly] = {}
-        for m, c in self.terms.items():
-            self._accumulate(acc, m, c * pp)
-        return Poly(self.sys, acc)
+        # products of nonzero coefficients are nonzero, at distinct monomials
+        return Poly(self.sys, {m: c * pp for m, c in self.terms.items()})
 
     def scale_q(self, q: Q) -> "Poly":
         return Poly(self.sys, {m: pp.scale(q) for m, pp in self.terms.items()}) if q != 1 else self
@@ -386,15 +386,7 @@ class Poly:
         return Poly(self.sys, acc)
 
     def pow(self, n: int) -> "Poly":
-        acc = Poly.one(self.sys)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return acc
+        return power(self, n, Poly.one(self.sys), Poly.mul)
 
     def derivative(self, name: str) -> "Poly":
         sys = self.sys
@@ -495,10 +487,7 @@ class Poly:
                 parts.append(f"{ps}*{gstr}")
             else:
                 parts.append(f"({ps})*{gstr}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_signed(parts)
 
 
 #: Division steps after which ``poly_divexact`` stops with ArithmeticError.
@@ -735,8 +724,12 @@ class CanonicalCoeff:
         if o.is_zero:
             return self
         lcm_mono = _mono_max(self.den_mono, o.den_mono)
-        fa, fb = dict(self.den_factors), dict(o.den_factors)
-        lcm_fac = {f: max(fa.get(f, 0), fb.get(f, 0)) for f in set(fa) | set(fb)}
+        # self's (sorted) factors first, then o's new ones: the order in
+        # which numerators are raised must not follow the hash seed
+        lcm_fac = dict(self.den_factors)
+        for f, k in o.den_factors:
+            if k > lcm_fac.get(f, 0):
+                lcm_fac[f] = k
 
         def raise_num(c: "CanonicalCoeff") -> Poly:
             num = c.num.mul_mono(_mono_sub(lcm_mono, c.den_mono))
@@ -747,8 +740,7 @@ class CanonicalCoeff:
                     num = num.mul(f.pow(extra))
             return num
 
-        a, b = raise_num(self), raise_num(o)
-        num = a.add(b) if sign == 1 else a.sub(b)
+        num = raise_num(self)._plus(raise_num(o), sign)
         return self._normalize(self.sys, num, lcm_mono, tuple(lcm_fac.items()))
 
     def __neg__(self):
@@ -808,15 +800,7 @@ class CanonicalCoeff:
             raise TypeError("powers must be integers")
         if n < 0:
             return (self.sys.one() / self) ** (-n)
-        acc = self.sys.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return power(self, n, self.sys.one())
 
     # -- calculus --------------------------------------------------------------
 
@@ -871,18 +855,14 @@ class CanonicalCoeff:
     # -- structure ----------------------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, object]) -> "CanonicalCoeff":
-        num = Poly(self.sys, {})
-        for m, pp in self.num.terms.items():
-            sub = pp.substitute(mapping)
-            if not sub.is_zero:
-                num = num.add(Poly.from_mono(self.sys, m, sub))
+        def sub(p: Poly) -> Poly:
+            terms = ((m, pp.substitute(mapping)) for m, pp in p.terms.items())
+            return Poly(self.sys, {m: pp for m, pp in terms if not pp.is_zero})
+
+        num = sub(self.num)
         fac = []
         for f, k in self.den_factors:
-            g = Poly(self.sys, {})
-            for m, pp in f.terms.items():
-                sub = pp.substitute(mapping)
-                if not sub.is_zero:
-                    g = g.add(Poly.from_mono(self.sys, m, sub))
+            g = sub(f)
             if g.is_zero:
                 raise ZeroCoefficientDivision("substitution zeroed a denominator factor")
             fac.append((g, k))

@@ -8,10 +8,11 @@ a caller evaluates or substitutes explicitly.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Parameter alphabet of the coefficient ring, in canonical order.
 PARAMS: Tuple[str, ...] = (
@@ -48,6 +49,29 @@ def _pmono_mul(a: PMono, b: PMono) -> PMono:
     for i, e in b:
         exps[i] = exps.get(i, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def power(x, n: int, one, mul: Callable = operator.mul):
+    """``x**n`` for an int ``n >= 0`` by square-and-multiply from ``one``.
+
+    Each step forms ``mul(acc, x)`` before squaring ``x``, and no square
+    is formed after the last bit, so every level of the ring takes the
+    same products in the same order.
+    """
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return acc
+
+
+def join_signed(parts: List[str]) -> str:
+    """Join rendered terms with " + ", writing a leading "-" as " - "."""
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+                              for p in parts[1:])
 
 
 def _pmono_key(m: PMono):
@@ -238,14 +262,7 @@ class ParamPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("ParamPoly powers must be non-negative integers")
-        acc = ParamPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        return power(self, n, ParamPoly.one())
 
     def scale(self, q) -> "ParamPoly":
         if type(q) is int:
@@ -282,32 +299,22 @@ class ParamPoly:
             raise ZeroDivisionError("division by the zero parameter polynomial")
         if other.is_one:
             return self
-        rem = self.terms
+        rem = self
         quot: Dict[PMono, Q] = {}
         lm, lc = other.leading()
         lexps = dict(lm)
-        while rem:
-            m = max(rem, key=_pmono_key)
+        while rem.nums:
+            m, c = rem.leading()
             mexps = dict(m)
-            qexps = []
             for i, e in lexps.items():
                 d = mexps.get(i, 0) - e
                 if d < 0:
                     return None
                 mexps[i] = d
-            for i, e in mexps.items():
-                if e:
-                    qexps.append((i, e))
-            qm = tuple(sorted(qexps))
-            qc = rem[m] / lc
+            qm = tuple(sorted((i, e) for i, e in mexps.items() if e))
+            qc = c / lc
             quot[qm] = qc
-            piece = ParamPoly({qm: qc}) * other
-            for mm, cc in piece.terms.items():
-                s = rem.get(mm, QZERO) - cc
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
+            rem = rem._plus(ParamPoly({qm: qc}) * other, -1)
         return ParamPoly(quot)
 
     def substitute(self, mapping: Mapping[str, object]) -> "ParamPoly":
@@ -378,10 +385,7 @@ class ParamPoly:
                 parts.append(f"-{ms}")
             else:
                 parts.append(f"{c}*{ms}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_signed(parts)
 
     __repr__ = __str__
 

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .coeffs import (CanonicalCoeff, VarSystem, ZeroCoefficientDivision,
                      compile_numeric)
-from .params import ParamPoly, Q, QONE, as_parampoly
+from .params import ParamPoly, Q, QONE, as_parampoly, join_signed, power
 
 PExp = Tuple[int, ...]
 
@@ -155,22 +155,31 @@ class PPoly:
             return self.space.lift(other)
         return None
 
-    def _store(self, acc: Dict[PExp, CanonicalCoeff], pe: PExp, c: CanonicalCoeff):
+    def _store(self, acc: Dict[PExp, CanonicalCoeff], pe: PExp, c: CanonicalCoeff,
+               sign: int = 1):
+        """acc[pe] += sign*c: a new term goes last, a zero sum is popped."""
         cur = acc.get(pe)
-        s = c if cur is None else cur + c
+        if cur is None:
+            s = c if sign == 1 else -c
+        else:
+            s = cur._plus(c, sign)
         if s.is_zero:
             acc.pop(pe, None)
         else:
             acc[pe] = s
 
+    def _plus(self, o: "PPoly", sign: int) -> "PPoly":
+        """self + sign*o for sign = +-1, in one pass over o's terms."""
+        acc = dict(self.terms)
+        for pe, c in o.terms.items():
+            self._store(acc, pe, c, sign)
+        return PPoly(self.space, acc)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for pe, c in o.terms.items():
-            self._store(acc, pe, c)
-        return PPoly(self.space, acc)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -181,24 +190,13 @@ class PPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._minus(o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._minus(self)
-
-    def _minus(self, o: "PPoly") -> "PPoly":
-        acc = dict(self.terms)
-        for pe, c in o.terms.items():
-            cur = acc.get(pe)
-            s = -c if cur is None else cur - c
-            if s.is_zero:
-                acc.pop(pe, None)
-            else:
-                acc[pe] = s
-        return PPoly(self.space, acc)
+        return o._plus(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -216,15 +214,7 @@ class PPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("PPoly powers must be non-negative integers")
-        acc = self.space.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return power(self, n, self.space.one())
 
     def scale(self, x) -> "PPoly":
         return self * self.space.lift(x)
@@ -349,10 +339,7 @@ class PPoly:
             else:
                 wrap = cs if (cs.startswith("(") or (" " not in cs)) else f"({cs})"
                 parts.append(f"{wrap}*{mom}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_signed(parts)
 
     __str__ = render
 

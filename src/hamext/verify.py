@@ -17,7 +17,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -28,11 +28,13 @@ from .phase import PhasePoint, PhaseSpace, PPoly, apply_XL, poisson_bracket
 from .extension import recursion_Gn
 
 
-#: The regular box that samples are drawn from, and the singular-value
-#: ratio below which a gradient direction counts as dependent.
+#: The regular box that samples are drawn from, the singular-value ratio
+#: below which a gradient direction counts as dependent, and the accepted
+#: samples a claim without a symbolic verdict needs.
 POSITION_RANGE = (0.3, 1.2)
 MOMENTUM_RANGE = (-1.0, 1.0)
 RANK_THRESHOLD = 1e-8
+MIN_SAMPLES = 30
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,10 @@ class ClaimResult:
     def validate(self):
         if not self.ok and "error" in self.details:
             return  # recorded sampling failure carries its own diagnosis
-        if self.symbolic is None and self.samples_used < 30:
+        if self.symbolic is None and self.samples_used < MIN_SAMPLES:
             raise ValueError(
                 f"claim {self.claim!r} has neither a symbolic verdict nor "
-                f">= 30 accepted samples ({self.samples_used})"
+                f">= {MIN_SAMPLES} accepted samples ({self.samples_used})"
             )
 
 
@@ -133,6 +135,23 @@ def symbolic_commute_check(H: PPoly, K: PPoly) -> Tuple[bool, PPoly]:
     return resid.is_zero, resid
 
 
+def _sample(points: Sequence[PhasePoint], fns: Sequence[Callable]
+            ) -> Tuple[List[list], int]:
+    """Values of every function at each point, as ``(rows, rejected)``.
+
+    A point where any function raises SingularEvaluation is rejected
+    whole: it gives no row and counts once in ``rejected``.
+    """
+    rows = []
+    rejected = 0
+    for pt in points:
+        try:
+            rows.append([fn(*pt.values) for fn in fns])
+        except SingularEvaluation:
+            rejected += 1
+    return rows, rejected
+
+
 def _compiled_gradient(F: PPoly, params: Mapping[str, object],
                        prec: Optional[int] = None) -> List:
     """Compiled partials of F in coordinate order, positions then momenta."""
@@ -153,16 +172,10 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
     gH = _compiled_gradient(H, params, precision)
     gK = _compiled_gradient(K, params, precision)
     worst = mpmath.mpf(0)
-    used = rejected = 0
     with mpmath.workdps(precision):
-        for pt in points:
-            try:
-                h = [fn(*pt.values) for fn in gH]
-                k = [fn(*pt.values) for fn in gK]
-            except SingularEvaluation:
-                rejected += 1
-                continue
-            used += 1
+        rows, rejected = _sample(points, gH + gK)
+        for row in rows:
+            h, k = row[:2 * dim], row[2 * dim:]
             hq, hp, kq, kp = h[:dim], h[dim:], k[:dim], k[dim:]
             bracket = mpmath.mpf(0)
             for a, b, c, d in zip(hq, kp, hp, kq):
@@ -172,7 +185,7 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
             rel = abs(bracket) / (1 + ngh * ngk)
             if rel > worst:
                 worst = rel
-    return float(worst), used, rejected
+    return float(worst), len(rows), rejected
 
 
 def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
@@ -188,23 +201,18 @@ def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
     """
     if not functions:
         raise ValueError("independence needs at least one function")
-    grads = [_compiled_gradient(F, params) for F in functions]
+    grads = [fn for F in functions for fn in _compiled_gradient(F, params)]
+    rows, rejected = _sample(points, grads)
     hist: Dict[int, int] = {}
-    used = rejected = 0
-    for pt in points:
-        try:
-            J = np.array([[float(fn(*pt.values)) for fn in g] for g in grads])
-        except SingularEvaluation:
-            rejected += 1
-            continue
-        used += 1
+    for row in rows:
+        J = np.array(row, dtype=float).reshape(len(functions), -1)
         norms = np.linalg.norm(J, axis=1, keepdims=True)
         J = np.divide(J, norms, out=np.zeros_like(J), where=norms > 0)
         sv = np.linalg.svd(J, compute_uv=False)
         top = sv[0] if len(sv) else 0.0
         rank = int(np.sum(sv > threshold * top)) if top > 0 else 0
         hist[rank] = hist.get(rank, 0) + 1
-    return hist, used, rejected
+    return hist, len(rows), rejected
 
 
 def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint],
@@ -227,22 +235,12 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
         symbolic_ok = (generated * generated.space.lift(g0)
                        - golden * golden.space.lift(f0)).is_zero
 
-    gen_fn = generated.compile(params, precision)
-    gold_fn = golden.compile(params, precision)
+    fns = [generated.compile(params, precision), golden.compile(params, precision)]
     num = mpmath.mpf(0)
     den = mpmath.mpf(0)
-    pairs = []
-    used = rejected = 0
     with mpmath.workdps(precision):
-        for pt in points:
-            try:
-                gv = gen_fn(*pt.values)
-                ov = gold_fn(*pt.values)
-            except SingularEvaluation:
-                rejected += 1
-                continue
-            used += 1
-            pairs.append((gv, ov))
+        pairs, rejected = _sample(points, fns)
+        for gv, ov in pairs:
             num += gv * ov
             den += ov * ov
         const = num / den if den != 0 else mpmath.mpf(0)
@@ -251,7 +249,7 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
             rel = abs(gv - const * ov) / (1 + abs(gv))
             if rel > dev:
                 dev = rel
-    return float(const), float(dev), symbolic_ok, used, rejected
+    return float(const), float(dev), symbolic_ok, len(pairs), rejected
 
 
 def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
@@ -263,31 +261,41 @@ def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
     rounding amplification, comfortably under 1e-6 at h = 1e-4.
     """
     fn = F.compile(params)
-    grads = _compiled_gradient(F, params)
+
+    def shifted(c: int, k: int) -> Callable:
+        def at(*x):
+            x = list(x)
+            x[c] = x[c] + k * step
+            return fn(*x)
+        return at
+
+    # per coordinate: the symbolic partial, then F at x[c] - 2h, -h, +h, +2h
+    fns = []
+    for c, grad in enumerate(_compiled_gradient(F, params)):
+        fns += [grad] + [shifted(c, k) for k in (-2, -1, 1, 2)]
+    rows, rejected = _sample(points, fns)
     worst = 0.0
-    used = rejected = 0
-    for pt in points:
-        base = pt.values
-        try:
-            for c, grad in enumerate(grads):
-                sym = float(grad(*base))
-                vals = []
-                for k in (-2, -1, 1, 2):
-                    shifted = list(base)
-                    shifted[c] = base[c] + k * step
-                    vals.append(float(fn(*shifted)))
-                fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * step)
-                rel = abs(sym - fd) / (1 + abs(sym))
-                worst = max(worst, rel)
-        except SingularEvaluation:
-            rejected += 1
-            continue
-        used += 1
-    return worst, used, rejected
+    for row in rows:
+        for i in range(0, len(row), 5):
+            sym, m2, m1, p1, p2 = (float(v) for v in row[i:i + 5])
+            fd = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
+            rel = abs(sym - fd) / (1 + abs(sym))
+            worst = max(worst, rel)
+    return worst, len(rows), rejected
 
 
 # ---------------------------------------------------------------------------
 # model-level driver
+
+
+def _sampled(claim: str, used: int, rejected: int, **result) -> ClaimResult:
+    """A sampled claim with ``result``, or a failure with fewer than
+    ``MIN_SAMPLES`` accepted samples."""
+    if used < MIN_SAMPLES:
+        return ClaimResult(claim=claim, ok=False, samples_used=used,
+                           samples_rejected=rejected,
+                           details={"error": "failed to sample the regular region"})
+    return ClaimResult(claim=claim, samples_used=used, samples_rejected=rejected, **result)
 
 
 def run_model_verification(model: ModelSpec, params: Mapping[str, object],
@@ -321,17 +329,8 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     pts = sample_points(model.space, settings.samples, rng)
     worst, used, rej = numeric_commute_check(model.Hbar, K, pts, params,
                                              settings.precision)
-    if used < 30:
-        report.add(ClaimResult(
-            claim="commutation_numeric", ok=False,
-            samples_used=used, samples_rejected=rej,
-            details={"error": "failed to sample the regular region"},
-        ))
-    else:
-        report.add(ClaimResult(
-            claim="commutation_numeric", ok=worst < tol, max_residual=worst,
-            samples_used=used, samples_rejected=rej, details={"tol": f"{tol:.1e}"},
-        ))
+    report.add(_sampled("commutation_numeric", used, rej, ok=worst < tol,
+                        max_residual=worst, details={"tol": f"{tol:.1e}"}))
     log("commutation_numeric", t0)
 
     t0 = time.monotonic()
@@ -339,19 +338,9 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     hist, used, rej = independence_rank([model.Hbar, K, model.L], pts, params)
     full = 3
     share = hist.get(full, 0) / used if used else 0.0
-    if used < 30:
-        report.add(ClaimResult(
-            claim="independence_rank", ok=False,
-            samples_used=used, samples_rejected=rej,
-            details={"error": "failed to sample the regular region"},
-        ))
-    else:
-        report.add(ClaimResult(
-            claim="independence_rank", ok=share >= 0.95,
-            samples_used=used, samples_rejected=rej,
-            details={"rank_histogram": json.dumps(hist, sort_keys=True),
-                     "full_rank_share": f"{share:.3f}"},
-        ))
+    report.add(_sampled("independence_rank", used, rej, ok=share >= 0.95,
+                        details={"rank_histogram": json.dumps(hist, sort_keys=True),
+                                 "full_rank_share": f"{share:.3f}"}))
     log("independence_rank", t0)
 
     t0 = time.monotonic()
@@ -364,17 +353,7 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     t0 = time.monotonic()
     pts = sample_points(model.space, settings.samples, rng)
     worst, used, rej = fd_crosscheck(model.Hbar, pts, params)
-    if used < 30:
-        report.add(ClaimResult(
-            claim="fd_crosscheck", ok=False,
-            samples_used=used, samples_rejected=rej,
-            details={"error": "failed to sample the regular region"},
-        ))
-    else:
-        report.add(ClaimResult(
-            claim="fd_crosscheck", ok=worst < 1e-6, max_residual=worst,
-            samples_used=used, samples_rejected=rej,
-        ))
+    report.add(_sampled("fd_crosscheck", used, rej, ok=worst < 1e-6, max_residual=worst))
     log("fd_crosscheck", t0)
 
     if model.name == "ttw" and (model.m, model.n) == (1, 1):

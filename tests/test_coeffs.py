@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -247,6 +251,34 @@ def test_derivative_matches_finite_differences(sysv, data):
             except SingularEvaluation:
                 continue
             assert abs(sym - fd) / (1 + abs(sym)) < 1e-6
+
+
+# Prints the nested insertion order of a sum over two multi-term
+# denominators; numeric evaluation sums in that order.
+_ORDER_PROBE = """
+from hamext import Var, VarSystem
+sysv = VarSystem([Var.circular("q"), Var.linear("u")])
+S, C, u = sysv.S("q"), sysv.C("q"), sysv.coord("u")
+x = 1 + (1 / (u + 1)) * (1 / (u + S + C))
+def items(p):
+    return [(m, list(pp.terms.items())) for m, pp in p.terms.items()]
+print(repr((items(x.num), x.den_mono, [(items(f), k) for f, k in x.den_factors])))
+"""
+
+
+def test_sum_order_independent_of_hash_seed():
+    # the factors a sum raises each numerator by must not be taken in set
+    # order, which follows the hash seed through the variable names
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", _ORDER_PROBE], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_render_deterministic_ordering(sysv):

@@ -4,7 +4,8 @@ The reference functions below are the straightforward versions of
 ``ParamPoly.__add__``/``__mul__``/``scale``, ``Poly.mul``,
 ``CanonicalCoeff.differentiate`` and ``PPoly.poisson``, computed on the
 ``Fraction`` view ``ParamPoly.terms``; subtraction is checked against the
-plain ``self + (-o)`` at every level.  The fast paths must give the same
+plain ``self + (-o)`` at every level, and powers against a square-and-multiply
+loop over each level's own product.  The fast paths must give the same
 values *and* the same dict insertion order at every nesting level, because
 numeric evaluation sums terms in that order.  They must also leave their
 operands untouched, and every ParamPoly they return must be in canonical
@@ -14,11 +15,12 @@ shares no factor with all of them.
 
 from math import gcd
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, apply_XL
-from hamext.coeffs import Poly, _reduce_raw
+from hamext.coeffs import CanonicalCoeff, Poly, _reduce_raw
 from hamext.params import QZERO, _pmono_mul, as_q
+from hamext.phase import PPoly
 
 from conftest import coeff_strategy, parampoly_strategy, ppoly_strategy
 
@@ -74,6 +76,18 @@ def ref_poly_mul(a, b):
             for mono, q in _reduce_raw(a.sys, raw):
                 _ref_accumulate(acc, mono, ref_pp_scale(c, q))
     return Poly(a.sys, acc)
+
+
+def ref_power(x, n, one, mul):
+    acc = one
+    base = x
+    while n:
+        if n & 1:
+            acc = mul(acc, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return acc
 
 
 def ref_differentiate(coeff, name):
@@ -298,3 +312,31 @@ def test_poisson_with_base_hamiltonian(data):
     f = data.draw(ppoly_strategy(space))
     assert ppoly_items(apply_XL(L, f)) == ppoly_items(ref_poisson(f, L))
     assert ppoly_items(L.poisson(f)) == ppoly_items(ref_poisson(L, f))
+
+
+@given(params_or_unit, params)
+def test_parampoly_divexact(a, b):
+    assume(not b.is_zero)
+    assert (a * b).divexact(b) == a
+    for x in (a * b, a, a + b):
+        q = x.divexact(b)
+        if q is not None:
+            assert q * b == x
+            assert_canonical(q)
+
+
+@given(st.data())
+def test_powers(data):
+    space = data.draw(st.sampled_from(SPACES))
+    sys = space.system
+    a = data.draw(params_or_unit)
+    p = data.draw(polys(sys))
+    c = data.draw(coeff_strategy(sys))
+    f = data.draw(ppoly_strategy(space))
+    for n in range(4):
+        assert pp_items(a ** n) == pp_items(ref_power(a, n, ParamPoly.one(), ParamPoly.__mul__))
+        assert poly_items(p.pow(n)) == poly_items(ref_power(p, n, Poly.one(sys), Poly.mul))
+        assert coeff_items(c ** n) == coeff_items(
+            ref_power(c, n, sys.one(), CanonicalCoeff.__mul__))
+    for n in range(3):
+        assert ppoly_items(f ** n) == ppoly_items(ref_power(f, n, space.one(), PPoly.__mul__))

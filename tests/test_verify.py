@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from hamext import (ParamPoly, PhasePoint, Q, cage_model, golden_K21,
-                    ttw_model)
+from hamext import (ParamPoly, PhasePoint, PhaseSpace, Q, Var, VarSystem,
+                    cage_model, golden_K21, ttw_model)
 from hamext.verify import (ClaimResult, VerifySettings, fd_crosscheck,
                            golden_compare, independence_rank,
                            load_golden_constant, numeric_commute_check,
@@ -133,6 +133,17 @@ def test_fd_crosscheck_rejects_near_singular(ttw, ttw_params):
     bad = PhasePoint.make(space, {"q": 1e-13, "u": 0.9, "p_q": 0.1, "p_u": 0.2})
     worst, used, rejected = fd_crosscheck(ttw.Hbar, [bad], ttw_params)
     assert rejected == 1 and used == 0
+
+
+def test_fd_crosscheck_rejected_point_leaves_no_residual():
+    # the q partial is checked before a shifted u evaluation hits the pole
+    # at u = 1/2, so the point must not leave its q residual behind
+    space = PhaseSpace(VarSystem([Var.linear("q"), Var.linear("u")]), ext="u")
+    sysv = space.system
+    q, u = sysv.coord("q"), sysv.coord("u")
+    F = space.lift(q ** 3) * space.p("q") + space.lift(1 / (u - Q(1, 2)))
+    pt = PhasePoint.make(space, {"q": 0.9, "u": 0.5 - 2e-4, "p_q": 0.3, "p_u": 0.2})
+    assert fd_crosscheck(F, [pt], {}) == (0.0, 0, 1)
 
 
 def test_reports_reproducible(ttw, ttw_params):
