@@ -849,8 +849,8 @@ class CanonicalCoeff:
         call compiles the coefficient (``compile_numeric``, which also sets
         the default guard) and evaluates it once.
         """
-        fn = compile_numeric(self.sys, self, params, prec, guard)
-        return fn(*[point[v.name] for v in self.sys.vars])
+        fn = compile_numeric(self.sys, [self], params, prec, guard)
+        return fn(*[point[v.name] for v in self.sys.vars])[0]
 
     # -- structure ----------------------------------------------------------------
 
@@ -965,28 +965,27 @@ _FUNCS = {
     to_mpf: {"sin": mpmath.sin, "cos": mpmath.cos, "sinh": mpmath.sinh, "cosh": mpmath.cosh},
 }
 
-_GUARD_CHECK = ("if abs(d) < G: "
-                "raise SingularEvaluation(f'denominator magnitude {d} below guard {G}')")
 
-
-def compile_numeric(sys: VarSystem, terms, params: Mapping[str, object],
+def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
                     prec: Optional[int], guard=None, momenta: int = 0) -> Callable:
-    """Compile exact coefficients once into a Python function.
+    """Compile exact coefficients once into one Python function.
 
-    ``terms`` is a CanonicalCoeff, compiled to its value as a function of
-    the positions of ``sys``, or a sequence of (momentum exponents,
-    coefficient) pairs, compiled to the sum of ``coeff * p**e`` as a
-    function of the positions followed by ``momenta`` momenta.  With
-    ``prec=None`` the function computes in floats; with ``prec`` digits it
+    Each of ``targets`` is a CanonicalCoeff or a sequence of (momentum
+    exponents, coefficient) pairs, whose value is the sum of ``coeff * p**e``.
+    The function of the positions of ``sys`` followed by ``momenta`` momenta
+    returns the list of the targets' values, or raises if one of them does.
+    With ``prec=None`` it computes in floats; with ``prec`` digits it
     computes in mpf at that precision, and so do the constants here.
 
     The operations are always the same, in the same order, so a value does
-    not depend on how often or where the function was compiled:
+    not depend on how often, where, or beside which targets it was compiled:
 
     * each parameter polynomial becomes one constant, ``ParamPoly.evaluate``;
     * generators are computed once per call: ``x`` itself for a linear
       variable, ``C = cos(root*(rate*x))`` and ``S = sin(root*(rate*x))/root``
       with ``root = sqrt(|tag|)`` (cosh and sinh for a negative tag);
+    * each distinct power ``g**e`` of a generator or momentum is computed
+      once per call, just before its first use;
     * every sum starts from zero and runs in dict insertion order, and a
       term is ``constant * g**e * ...``, multiplied left to right;
     * a denominator is ``(0 + 1*mono) * f**k * ...``; if its magnitude is
@@ -995,23 +994,27 @@ def compile_numeric(sys: VarSystem, terms, params: Mapping[str, object],
       the mpf 10^(10 - prec) with ``prec``.
     """
     if prec is None:
-        return _compile(sys, terms, params, 1e-12 if guard is None else guard,
+        return _compile(sys, targets, params, 1e-12 if guard is None else guard,
                         momenta, float)
     with mpmath.workdps(prec):
         if guard is None:
             guard = mpmath.mpf(10) ** (-prec + 10)
-        fn = _compile(sys, terms, params, guard, momenta, to_mpf)
+        fn = _compile(sys, targets, params, guard, momenta, to_mpf)
 
     def call(*coords):
         with mpmath.workdps(prec):
             return fn(*coords)
 
+    call.source = fn.source  # type: ignore[attr-defined]
     return call
 
 
-def _compile(sys: VarSystem, terms, params, guard, momenta: int, conv) -> Callable:
-    ns: Dict[str, object] = dict(_FUNCS[conv], cv=conv, Z=conv(0), G=guard,
-                                 SingularEvaluation=SingularEvaluation)
+def _compile(sys: VarSystem, targets, params, guard, momenta: int, conv) -> Callable:
+    def below(d) -> SingularEvaluation:
+        # the message is built here, on failure only, to keep the source small
+        return SingularEvaluation(f"denominator magnitude {d} below guard {guard}")
+
+    ns: Dict[str, object] = dict(_FUNCS[conv], cv=conv, Z=conv(0), G=guard, below=below)
     ids = itertools.count()
     lines: List[str] = []
 
@@ -1019,6 +1022,16 @@ def _compile(sys: VarSystem, terms, params, guard, momenta: int, conv) -> Callab
         name = f"k{next(ids)}"
         ns[name] = value
         return name
+
+    bound = set()
+
+    def power(base: str, e: int) -> str:
+        # base**e, bound as a local by a line before the first that reads it
+        name = f"{base}_{e}"
+        if e > 1 and name not in bound:
+            bound.add(name)
+            lines.append(f"{name} = {base} ** {e}")
+        return base if e == 1 else name
 
     gens: List[str] = []  # source name of the generator in each monomial slot
     for i, v in enumerate(sys.vars):
@@ -1043,8 +1056,7 @@ def _compile(sys: VarSystem, terms, params, guard, momenta: int, conv) -> Callab
         expr = "Z"
         for m, pp in p.terms.items():
             factors = [bind(pp.evaluate(params, conv))]
-            factors += [gens[slot] if e == 1 else f"{gens[slot]} ** {e}"
-                        for slot, e in enumerate(m) if e]
+            factors += [power(gens[slot], e) for slot, e in enumerate(m) if e]
             expr += " + " + " * ".join(factors)
         return f"({expr})"
 
@@ -1053,19 +1065,19 @@ def _compile(sys: VarSystem, terms, params, guard, momenta: int, conv) -> Callab
         for f, k in c.den_factors:
             den += f" * {total(f)}" if k == 1 else f" * {total(f)} ** {k}"
         lines.append(f"d = {den}")
-        lines.append(_GUARD_CHECK)
+        lines.append("if abs(d) < G: raise below(d)")
         return f"{total(c.num)} / d"
 
-    if isinstance(terms, CanonicalCoeff):
-        lines.append(f"return {fraction(terms)}")
-    else:
-        lines.append("acc = Z")
-        for pe, c in terms:
+    for j, target in enumerate(targets):
+        if isinstance(target, CanonicalCoeff):
+            lines.append(f"v{j} = {fraction(target)}")
+            continue
+        lines.append(f"v{j} = Z")
+        for pe, c in target:
             value = fraction(c)
-            value += "".join(f" * p{i}" if e == 1 else f" * p{i} ** {e}"
-                             for i, e in enumerate(pe) if e)
-            lines.append(f"acc = acc + {value}")
-        lines.append("return acc")
+            value += "".join(f" * {power(f'p{i}', e)}" for i, e in enumerate(pe) if e)
+            lines.append(f"v{j} = v{j} + {value}")
+    lines.append("return [" + ", ".join(f"v{j}" for j in range(len(targets))) + "]")
     args = ", ".join(f"a{i}" for i in range(npos + momenta))
     src = f"def evaluate({args}):\n" + "".join(f"    {ln}\n" for ln in lines)
     exec(compile(src, "<compiled coefficients>", "exec"), ns)

@@ -1,12 +1,14 @@
 """Numerical flow of generated Hamiltonians with conservation monitoring.
 
 Hamilton's equations are compiled once from the exact symbolic partials by
-``PPoly.compile``, the compiler that also evaluates the 50-digit checks of
-``verify``, here in double precision.  They are integrated with an adaptive
-high-order one-step method (DOP853 via scipy).  Conservation claims are
-checked as drift bounds along trajectories; a splitting or structure-
-preserving scheme is deliberately not used because the position-dependent
-kinetic coupling has no closed-form sub-flows.
+``PhaseSpace.compile``, the compiler of the 50-digit checks of ``verify``,
+here in double precision: all ``2*dim`` components form one function, so
+a right-hand-side call computes the generators and their powers once, and
+so do the monitored invariants at each output row.  The flow is integrated
+with an adaptive high-order one-step method (DOP853 via scipy).
+Conservation claims are checked as drift bounds along trajectories; a
+splitting or structure-preserving scheme is deliberately not used because
+the position-dependent kinetic coupling has no closed-form sub-flows.
 
 Trajectories are written as delimited text with 17 significant digits.
 """
@@ -34,10 +36,10 @@ def compile_ppoly(F: PPoly, params: Mapping[str, object]) -> Callable[[Sequence[
     Denominators are not guarded: at a pole the function raises
     ZeroDivisionError.
     """
-    fn = F.compile(params, guard=0.0)
+    fn = F.space.compile([F], params, guard=0.0)
 
     def call(y: Sequence[float]) -> float:
-        return fn(*y)
+        return fn(*y)[0]
 
     call.source = fn.source  # type: ignore[attr-defined]
     return call
@@ -52,16 +54,15 @@ def hamiltons_equations(H: PPoly, params: Mapping[str, object]) -> Callable:
     """
     space = H.space
     names = space.position_names
-    comps = [compile_ppoly(H.d_momentum(n), params) for n in names]
-    comps += [compile_ppoly(-H.d_position(n), params) for n in names]
+    comps = [H.d_momentum(n) for n in names] + [-H.d_position(n) for n in names]
+    fn = space.compile(comps, params, guard=0.0)
     dim = len(comps)
 
     def field(t: float, y: Sequence[float]) -> List[float]:
         try:
-            out = [c(y) for c in comps]
+            return fn(*y)
         except (ZeroDivisionError, OverflowError, ValueError):
             return [math.inf] * dim
-        return out
 
     field.dim = dim  # type: ignore[attr-defined]
     return field
@@ -149,12 +150,12 @@ class DriftReport:
 
 def invariant_values(traj: Trajectory, invariants: Mapping[str, PPoly],
                      params: Mapping[str, object]) -> Dict[str, np.ndarray]:
-    """Each invariant compiled once and evaluated at every output row."""
-    out = {}
-    for name, F in invariants.items():
-        fn = compile_ppoly(F, params)
-        out[name] = np.array([fn(row) for row in traj.y])
-    return out
+    """The invariants compiled once, as one function evaluated at every
+    output row; unguarded, like ``compile_ppoly``."""
+    fn = traj.space.compile(list(invariants.values()), params, guard=0.0)
+    rows = [fn(*row) for row in traj.y]
+    return {name: np.array([row[i] for row in rows], dtype=float)
+            for i, name in enumerate(invariants)}
 
 
 def monitor_invariants(traj: Trajectory, values: Mapping[str, np.ndarray]) -> DriftReport:
@@ -162,11 +163,12 @@ def monitor_invariants(traj: Trajectory, values: Mapping[str, np.ndarray]) -> Dr
 
     ``values`` holds each function's values along the trajectory, as
     ``invariant_values`` returns them.  Initial values with magnitude below
-    1e-10 switch that entry to absolute drift.
+    1e-10 switch that entry to absolute drift; an empty trajectory gives
+    ``nan`` entries.
     """
     entries: Dict[str, Dict[str, float]] = {}
     for name, vals in values.items():
-        v0 = vals[0]
+        v0 = vals[0] if len(vals) else math.nan
         dev = np.max(np.abs(vals - v0)) if len(vals) else math.nan
         scale = abs(v0)
         relative = scale >= 1e-10
@@ -194,10 +196,10 @@ def write_trajectory(path: str, traj: Trajectory,
 def validate_initial_point(point: PhasePoint, functions: Sequence[PPoly],
                            params: Mapping[str, object], guard: float = 1e-9):
     """Reject initial data on or too near a coefficient singularity."""
-    for F in functions:
-        try:
-            F.evaluate(point, params, guard=guard)
-        except SingularEvaluation as exc:
-            raise ValueError(
-                f"initial point is singular for a monitored function: {exc}"
-            ) from exc
+    fn = point.space.compile(functions, params, guard=guard)
+    try:
+        fn(*point.values)
+    except SingularEvaluation as exc:
+        raise ValueError(
+            f"initial point is singular for a monitored function: {exc}"
+        ) from exc

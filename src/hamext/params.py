@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Parameter alphabet of the coefficient ring, in canonical order.
@@ -193,18 +193,7 @@ class ParamPoly:
             g = gcd(da, db)
             den, fa, fb = da // g * db, db // g, sign * (da // g)
         out = dict(self.nums) if fa == 1 else {m: c * fa for m, c in self.nums.items()}
-        for m, c in o.nums.items():
-            if fb != 1:
-                c = c * fb
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-                continue
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+        _add_into(out, o.nums, fb)
         return from_numerators(out, den)
 
     def __add__(self, other):
@@ -324,16 +313,20 @@ class ParamPoly:
             if name not in PARAM_INDEX:
                 raise KeyError(f"unknown parameter {name!r}")
             repl[PARAM_INDEX[name]] = val if isinstance(val, ParamPoly) else ParamPoly.scalar(val)
-        out = ParamPoly.zero()
-        for m, c in self.terms.items():
-            piece = ParamPoly.scalar(c)
+        pieces = []
+        for m, c in self.nums.items():
+            # a term's numerator times the parameters that stay, then the rest
+            piece = _make({tuple((i, e) for i, e in m if i not in repl): c}, 1)
             for i, e in m:
-                factor = repl.get(i)
-                if factor is None:
-                    factor = ParamPoly({((i, 1),): QONE})
-                piece = piece * factor ** e
-            out = out + piece
-        return out
+                if i in repl:
+                    piece = piece * repl[i] ** e
+            pieces.append(piece)
+        # their sum in one pass over the common denominator
+        den = lcm(*(piece.den for piece in pieces))
+        out: Dict[PMono, int] = {}
+        for piece in pieces:
+            _add_into(out, piece.nums, den // piece.den)
+        return from_numerators(out, den * self.den)
 
     def evaluate(self, values: Mapping[str, object], conv=float):
         """Numeric value with parameters taken from ``values``.
@@ -388,6 +381,23 @@ class ParamPoly:
         return join_signed(parts)
 
     __repr__ = __str__
+
+
+def _add_into(out: Dict[PMono, int], nums: Dict[PMono, int], scale: int):
+    """``out += scale * nums`` in place, term by term: a new monomial goes
+    last and a zero sum is popped."""
+    for m, c in nums.items():
+        if scale != 1:
+            c = c * scale
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+            continue
+        s = s + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
 
 
 def _product(a: Dict[PMono, int], b: Dict[PMono, int]) -> Dict[PMono, int]:

@@ -15,7 +15,7 @@ All values are immutable and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .coeffs import (CanonicalCoeff, VarSystem, ZeroCoefficientDivision,
                      compile_numeric)
@@ -77,6 +77,17 @@ class PhaseSpace:
         pexp = [0] * self.dim
         pexp[i] = exp
         return PPoly(self, {tuple(pexp): self.system.one()})
+
+    def compile(self, functions: Sequence["PPoly"], params: Mapping[str, object],
+                prec: Optional[int] = None, guard=None) -> Callable:
+        """Compile ``functions`` once into one function of the coordinates,
+        positions then momenta, that returns the list of their values; see
+        ``compile_numeric``, which computes in floats or at ``prec`` digits
+        and sets the default guard."""
+        if any(F.space != self for F in functions):
+            raise PhaseSpaceMismatch("compiled functions live on another phase space")
+        return compile_numeric(self.system, [tuple(F.terms.items()) for F in functions],
+                               params, prec, guard, momenta=self.dim)
 
 
 @dataclass(frozen=True)
@@ -268,11 +279,15 @@ class PPoly:
                 guard=None) -> Callable:
         """Compile once to a function of the coordinates, positions then momenta.
 
-        Floats by default, mpf at ``prec`` digits; see ``compile_numeric``,
-        which also sets the default guard.
+        The one-function case of ``PhaseSpace.compile``.
         """
-        return compile_numeric(self.space.system, tuple(self.terms.items()), params,
-                               prec, guard, momenta=self.space.dim)
+        fn = self.space.compile([self], params, prec, guard)
+
+        def call(*coords):
+            return fn(*coords)[0]
+
+        call.source = fn.source  # type: ignore[attr-defined]
+        return call
 
     def evaluate(self, point, params: Mapping[str, object], prec: Optional[int] = None,
                  guard=None):

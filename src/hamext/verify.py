@@ -135,29 +135,27 @@ def symbolic_commute_check(H: PPoly, K: PPoly) -> Tuple[bool, PPoly]:
     return resid.is_zero, resid
 
 
-def _sample(points: Sequence[PhasePoint], fns: Sequence[Callable]
-            ) -> Tuple[List[list], int]:
-    """Values of every function at each point, as ``(rows, rejected)``.
+def _sample(points: Sequence[PhasePoint], row: Callable) -> Tuple[List[list], int]:
+    """``row`` at each point, as ``(rows, rejected)``.
 
-    A point where any function raises SingularEvaluation is rejected
-    whole: it gives no row and counts once in ``rejected``.
+    ``row`` maps the coordinates of a point to its list of values.  A point
+    where it raises SingularEvaluation is rejected whole: it gives no row
+    and counts once in ``rejected``.
     """
     rows = []
     rejected = 0
     for pt in points:
         try:
-            rows.append([fn(*pt.values) for fn in fns])
+            rows.append(row(*pt.values))
         except SingularEvaluation:
             rejected += 1
     return rows, rejected
 
 
-def _compiled_gradient(F: PPoly, params: Mapping[str, object],
-                       prec: Optional[int] = None) -> List:
-    """Compiled partials of F in coordinate order, positions then momenta."""
+def _gradient(F: PPoly) -> List[PPoly]:
+    """The partials of F in coordinate order, positions then momenta."""
     names = F.space.position_names
-    partials = [F.d_position(n) for n in names] + [F.d_momentum(n) for n in names]
-    return [G.compile(params, prec) for G in partials]
+    return [F.d_position(n) for n in names] + [F.d_momentum(n) for n in names]
 
 
 def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
@@ -169,11 +167,10 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
     symbolically-zero pair exercises genuine floating cancellation.
     """
     dim = H.space.dim
-    gH = _compiled_gradient(H, params, precision)
-    gK = _compiled_gradient(K, params, precision)
+    grads = H.space.compile(_gradient(H) + _gradient(K), params, precision)
     worst = mpmath.mpf(0)
     with mpmath.workdps(precision):
-        rows, rejected = _sample(points, gH + gK)
+        rows, rejected = _sample(points, grads)
         for row in rows:
             h, k = row[:2 * dim], row[2 * dim:]
             hq, hp, kq, kp = h[:dim], h[dim:], k[:dim], k[dim:]
@@ -201,7 +198,8 @@ def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
     """
     if not functions:
         raise ValueError("independence needs at least one function")
-    grads = [fn for F in functions for fn in _compiled_gradient(F, params)]
+    grads = functions[0].space.compile([G for F in functions for G in _gradient(F)],
+                                       params)
     rows, rejected = _sample(points, grads)
     hist: Dict[int, int] = {}
     for row in rows:
@@ -235,11 +233,11 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
         symbolic_ok = (generated * generated.space.lift(g0)
                        - golden * golden.space.lift(f0)).is_zero
 
-    fns = [generated.compile(params, precision), golden.compile(params, precision)]
+    both = generated.space.compile([generated, golden], params, precision)
     num = mpmath.mpf(0)
     den = mpmath.mpf(0)
     with mpmath.workdps(precision):
-        pairs, rejected = _sample(points, fns)
+        pairs, rejected = _sample(points, both)
         for gv, ov in pairs:
             num += gv * ov
             den += ov * ov
@@ -261,23 +259,17 @@ def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
     rounding amplification, comfortably under 1e-6 at h = 1e-4.
     """
     fn = F.compile(params)
+    grads = F.space.compile(_gradient(F), params)
 
-    def shifted(c: int, k: int) -> Callable:
-        def at(*x):
-            x = list(x)
-            x[c] = x[c] + k * step
-            return fn(*x)
-        return at
+    def row(*x) -> List[tuple]:
+        # per coordinate: the symbolic partial, then F at x[c] - 2h, -h, +h, +2h
+        return [(sym, *(fn(*x[:c], x[c] + k * step, *x[c + 1:]) for k in (-2, -1, 1, 2)))
+                for c, sym in enumerate(grads(*x))]
 
-    # per coordinate: the symbolic partial, then F at x[c] - 2h, -h, +h, +2h
-    fns = []
-    for c, grad in enumerate(_compiled_gradient(F, params)):
-        fns += [grad] + [shifted(c, k) for k in (-2, -1, 1, 2)]
-    rows, rejected = _sample(points, fns)
+    rows, rejected = _sample(points, row)
     worst = 0.0
-    for row in rows:
-        for i in range(0, len(row), 5):
-            sym, m2, m1, p1, p2 = (float(v) for v in row[i:i + 5])
+    for r in rows:
+        for sym, m2, m1, p1, p2 in r:
             fd = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
             rel = abs(sym - fd) / (1 + abs(sym))
             worst = max(worst, rel)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hamext import PhasePoint, PhaseSpace, Q, Var, VarSystem, ttw_model
-from hamext.dynamics import (TrajectoryConfig, compile_ppoly,
+from hamext.dynamics import (Trajectory, TrajectoryConfig, compile_ppoly,
                              hamiltons_equations, integrate_adaptive,
                              invariant_values, monitor_invariants,
                              validate_initial_point, write_trajectory)
@@ -55,6 +55,37 @@ def test_field_matches_fd_gradient(ttw11, ttw_params):
         fd = (fn(yp) - fn(ym)) / (2 * h)
         slot = i - 2 if i >= 2 else i + 2
         assert got[slot] == pytest.approx(sign * fd, rel=1e-6, abs=1e-8)
+
+
+def test_field_and_invariants_match_each_function(ttw11, ttw_params):
+    """The joint vector field and invariant rows give bitwise the values of
+    compiling each component alone."""
+    H, K = ttw11.Hbar, ttw11.Kbar.poly
+    names = H.space.position_names
+    comps = [H.d_momentum(n) for n in names] + [-H.d_position(n) for n in names]
+    alone = [compile_ppoly(F, ttw_params) for F in comps]
+    field = hamiltons_equations(H, ttw_params)
+    pt = PhasePoint.make(H.space, {"q": 0.7, "u": 0.9, "p_q": 0.3, "p_u": -0.4})
+    cfg = TrajectoryConfig(initial=pt, t_final=0.5, stride=4, params=ttw_params)
+    traj = integrate_adaptive(cfg, field)
+    for y in traj.y:
+        assert [v.hex() for v in field(0.0, y)] == [fn(y).hex() for fn in alone]
+    values = invariant_values(traj, {"H": H, "K": K}, ttw_params)
+    for name, F in (("H", H), ("K", K)):
+        fn = compile_ppoly(F, ttw_params)
+        assert [v.hex() for v in values[name]] == [fn(y).hex() for y in traj.y]
+
+
+def test_empty_trajectory_gives_nan_entries(line_space):
+    H = _free_H(line_space)
+    traj = Trajectory(space=line_space, t=np.array([]), y=np.empty((0, 2)),
+                      success=False, message="no step", nfev=0)
+    values = invariant_values(traj, {"H": H}, {})
+    assert len(values["H"]) == 0
+    report = monitor_invariants(traj, values)
+    assert math.isnan(report.entries["H"]["initial"])
+    assert math.isnan(report.drift("H"))
+    assert report.samples == 0
 
 
 def test_free_particle_trajectory(line_space):

@@ -11,6 +11,7 @@ the same type, at double precision and at 50 digits, and must raise
 
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -263,3 +264,62 @@ def test_model_gradients_match_reference(name):
                     want = outcome(lambda: ref_ppoly_evaluate(G, pt, params, prec))
                     values = [pt[n] for n in G.space.coordinate_names]
                     assert outcome(lambda: fn(*values)) == want
+
+
+# -- one function for many polynomials -------------------------------------------
+
+
+def _joint_case(name):
+    space = SPACES[name]
+    return st.tuples(st.lists(ppoly_strategy(space), min_size=1, max_size=4),
+                     st.lists(points, min_size=2, max_size=2), guards, precisions)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_joint_function_matches_each_alone(name):
+    """One function of several polynomials gives, at each of several
+    points, bitwise the values of compiling each polynomial alone and of
+    the reference chain, or the first of their singular verdicts."""
+    @given(_joint_case(name))
+    def check(case):
+        Fs, pts, guard, prec = case
+        joint = SPACES[name].compile(Fs, PARAM_VALUES, prec, guard)
+        alone = [F.compile(PARAM_VALUES, prec, guard) for F in Fs]
+        for pt in pts:
+            values = [pt[n] for n in SPACES[name].coordinate_names]
+            want = [outcome(lambda: fn(*values)) for fn in alone]
+            assert want == [outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
+                            for F in Fs]
+            failed = [w for w in want if isinstance(w, str)]
+            try:
+                got = [outcome(lambda: v) for v in joint(*values)]
+            except SingularEvaluation:
+                got = "singular"
+            except ZeroDivisionError:
+                got = "zero division"
+            assert got == (failed[0] if failed else want)
+
+    check()
+
+
+def test_joint_source_binds_each_power_once():
+    """Each distinct power of a generator or momentum is one line of the
+    source, bound before the first line that reads it; the generators are
+    computed once."""
+    space = SPACES["tag-3-rate-2/5"]
+    sys = space.system
+    u, S, C = sys.coord("u"), sys.S("q"), sys.C("q")
+    p, pu = space.p("q"), space.p("u")
+    Fs = [space.lift(S ** 3 * u ** 2 / (u + C) ** 2) * p ** 2 + space.lift(C ** 2 * S ** 3),
+          space.lift(S ** 2 + u ** 3) * p ** 2 * pu ** 3 + space.lift(S ** 3 / u ** 2) * pu]
+    for prec in (None, 50):
+        src = space.compile(Fs, PARAM_VALUES, prec).source
+        lines = src.splitlines()
+        powers = re.findall(r"\b([cgsp]\d+) \*\* (\d+)", src)
+        assert len(powers) == len(set(powers)) >= 6
+        for base, e in powers:
+            local = f"{base}_{e}"
+            bound = lines.index(f"    {local} = {base} ** {e}")
+            first = min(i for i, ln in enumerate(lines) if re.search(rf"\b{local}\b", ln))
+            assert bound == first
+        assert src.count("cos(") == src.count("sin(") == 1

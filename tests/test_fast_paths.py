@@ -2,7 +2,8 @@
 
 The reference functions below are the straightforward versions of
 ``ParamPoly.__add__``/``__mul__``/``scale``, ``Poly.mul``,
-``CanonicalCoeff.differentiate`` and ``PPoly.poisson``, computed on the
+``CanonicalCoeff.differentiate``, ``PPoly.poisson`` and
+``ParamPoly.substitute`` (a running sum over the terms), computed on the
 ``Fraction`` view ``ParamPoly.terms``; subtraction is checked against the
 plain ``self + (-o)`` at every level, and powers against a square-and-multiply
 loop over each level's own product.  The fast paths must give the same
@@ -19,7 +20,7 @@ from hypothesis import assume, given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, apply_XL
 from hamext.coeffs import CanonicalCoeff, Poly, _reduce_raw
-from hamext.params import QZERO, _pmono_mul, as_q
+from hamext.params import PARAMS, QZERO, _pmono_mul, as_q
 from hamext.phase import PPoly
 
 from conftest import coeff_strategy, parampoly_strategy, ppoly_strategy
@@ -88,6 +89,20 @@ def ref_power(x, n, one, mul):
         if n:
             base = mul(base, base)
     return acc
+
+
+def ref_pp_substitute(a, mapping):
+    """The running sum ``out = out + piece`` over the terms."""
+    out = ParamPoly.zero()
+    for m, c in a.terms.items():
+        piece = ParamPoly.scalar(c)
+        for i, e in m:
+            name = PARAMS[i]
+            factor = ParamPoly.var(name) if name not in mapping else mapping[name]
+            piece = piece * (factor if isinstance(factor, ParamPoly)
+                             else ParamPoly.scalar(factor)) ** e
+        out = out + piece
+    return out
 
 
 def ref_differentiate(coeff, name):
@@ -340,3 +355,11 @@ def test_powers(data):
             ref_power(c, n, sys.one(), CanonicalCoeff.__mul__))
     for n in range(3):
         assert ppoly_items(f ** n) == ppoly_items(ref_power(f, n, space.one(), PPoly.__mul__))
+
+
+@given(params, st.dictionaries(st.sampled_from(["c1", "c2", "omega", "L0"]),
+                               st.one_of(scales, params), max_size=3))
+def test_parampoly_substitute(a, mapping):
+    got = a.substitute(mapping)
+    assert pp_items(got) == pp_items(ref_pp_substitute(a, mapping))
+    assert_canonical(got)
