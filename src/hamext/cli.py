@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
 from . import dynamics
 from .coeffs import Var
@@ -87,6 +87,23 @@ JobConfig.KNOWN = set(JobConfig.__dataclass_fields__)
 
 #: Fields that only the inline model reads; catalog models refuse them.
 INLINE_ONLY = ("V", "eta", "L0", "c", "kappa")
+
+
+def _json_type_ok(hint, value) -> bool:
+    """Whether a --config value has the type its flag parses to, or is null
+    where the default is None."""
+    args = get_args(hint)
+    if value is None:
+        return type(None) in args
+    if hint == Dict[str, str]:
+        # --param: NAME=VALUE strings, or a mapping of names to strings
+        if isinstance(value, dict):
+            value = [*value, *value.values()]
+        return isinstance(value, list) and all(type(v) is str for v in value)
+    if args:  # Optional[X]
+        hint = args[0]
+    # a JSON integer is a valid float, but a boolean is not an integer
+    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 def _rat(text: str) -> Q:
@@ -184,9 +201,14 @@ def make_config(argv: Sequence[str]) -> JobConfig:
         unknown = set(loaded) - JobConfig.KNOWN
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        hints = get_type_hints(JobConfig)
         for k, v in loaded.items():
+            if not _json_type_ok(hints[k], v):
+                raise ConfigError(f"config field {k!r} has the wrong type: {v!r}")
             data.setdefault(k, v)
-    if "param" in data and not isinstance(data["param"], dict):
+    if isinstance(data.get("param"), dict):
+        data["param"] = [f"{k}={v}" for k, v in data["param"].items()]
+    if "param" in data:
         data["param"] = _parse_params(data["param"])
     data = {k: v for k, v in data.items() if k in JobConfig.KNOWN}
     model = data.get("model", JobConfig.model)
@@ -198,6 +220,10 @@ def make_config(argv: Sequence[str]) -> JobConfig:
     cfg = JobConfig(**data)
     if cfg.m < 1 or cfg.n < 1:
         raise ConfigError("m and n must be positive integers")
+    for name in ("samples", "precision"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"--{name} must be a positive integer, "
+                              f"got {getattr(cfg, name)}")
     return cfg
 
 
@@ -209,9 +235,10 @@ def _inline_model(cfg: JobConfig) -> ModelSpec:
     if cfg.V is None or cfg.eta is None:
         raise ConfigError("inline models need both --V and --eta")
     c = _rat(cfg.c)
-    L0 = _sym_or_rat(cfg.L0, "L0") if cfg.L0 is not None else ParamPoly.zero()
-    if c != 0:
-        L0 = ParamPoly.zero()
+    L0 = _sym_or_rat(cfg.L0, "L0")
+    if c != 0 and not L0.is_zero:
+        raise ConfigError(f"--L0 {cfg.L0}: the inline model with --c != 0 takes "
+                          "L0 = 0 (absorb the constant into --V)")
     A = _sym_or_rat(cfg.A, "A")
     omega = _sym_or_rat(cfg.omega, "omega")
     base = Var.tagged("q", c) if c != 0 else Var.linear("q")
@@ -250,7 +277,7 @@ def _occurring_params(*polys: PPoly) -> List[str]:
         for c in F.terms.values():
             for poly in (c.num, *(f for f, _ in c.den_factors)):
                 for pp in poly.terms.values():
-                    for pmono in pp.terms:
+                    for pmono in pp.nums:
                         found.update(i for i, _ in pmono)
     return [PARAMS[i] for i in sorted(found)]
 

@@ -34,8 +34,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import mpmath
 
-from .params import (ParamPoly, Q, QONE, QZERO, as_parampoly, as_q, from_numerators,
-                     join_signed, power)
+from .params import (ParamPoly, Q, QONE, QZERO, _add_into, accumulate, as_parampoly, as_q,
+                     from_numerators, join_signed, power)
 
 Mono = Tuple[int, ...]
 
@@ -221,7 +221,12 @@ class VarSystem:
 
 @lru_cache(maxsize=None)
 def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, Q], ...]:
-    """Rewrite C-powers >= 2 via C^2 = 1 - tag*S^2; returns basis terms."""
+    """Rewrite C-powers >= 2 via C^2 = 1 - tag*S^2; returns basis terms.
+
+    The terms are distinct and nonzero, so they need no sum: the terms of
+    one rewrite differ in their S-power, and those of different parents
+    in the slots of a variable already rewritten.
+    """
     pending: List[Tuple[List[int], Q]] = [(list(raw), QONE)]
     for v, off in zip(sys.vars, sys._offset):
         if v.is_linear:
@@ -240,15 +245,7 @@ def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, Q], ...]:
                 m2[s_off] += 2 * j
                 nxt.append((m2, coef * math.comb(k, j) * (-v.tag) ** j))
         pending = nxt
-    acc: Dict[Mono, Q] = {}
-    for mono, coef in pending:
-        key = tuple(mono)
-        s = acc.get(key, QZERO) + coef
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    return tuple(acc.items())
+    return tuple((tuple(mono), coef) for mono, coef in pending)
 
 
 def _mono_key(m: Mono):
@@ -293,24 +290,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _accumulate(self, acc: Dict[Mono, ParamPoly], mono: Mono, pp: ParamPoly,
-                    sign: int = 1):
-        """acc[mono] += sign*pp: a new term goes last, a zero sum is popped."""
-        cur = acc.get(mono)
-        if cur is None:
-            s = pp if sign == 1 else -pp
-        else:
-            s = cur._plus(pp, sign)
-        if s.is_zero:
-            acc.pop(mono, None)
-        else:
-            acc[mono] = s
-
     def _plus(self, other: "Poly", sign: int) -> "Poly":
         """self + sign*other for sign = +-1, in one pass over other's terms."""
         acc = dict(self.terms)
         for m, pp in other.terms.items():
-            self._accumulate(acc, m, pp, sign)
+            accumulate(acc, m, pp, sign)
         return Poly(self.sys, acc)
 
     def add(self, other: "Poly") -> "Poly":
@@ -334,11 +318,10 @@ class Poly:
         return Poly(self.sys, {m: pp.scale(q) for m, pp in self.terms.items()}) if q != 1 else self
 
     def mul(self, other: "Poly") -> "Poly":
-        # Sums go into private [int numerators, den] pairs, with the
-        # pop-on-zero and re-insert order of _accumulate and
-        # ParamPoly.__add__ at both levels.  A new denominator rescales a
-        # pair to the lcm, and a nonzero factor never changes which sums
-        # vanish.
+        # Sums go into [int numerators, den] pairs by the rule of
+        # accumulate and ParamPoly._plus at both levels.  A new denominator
+        # rescales a pair to the lcm, and a nonzero factor never changes
+        # which sums vanish.
         sys = self.sys
         acc: Dict[Mono, list] = {}
         for m1, c1 in self.terms.items():
@@ -360,18 +343,7 @@ class Poly:
                                 nums[pm] = c * up
                             cur[1] = den * up
                         k *= den // g
-                    for pm, c in pnums.items():
-                        if k != 1:
-                            c = c * k
-                        s = nums.get(pm)
-                        if s is None:
-                            nums[pm] = c
-                            continue
-                        s = s + c
-                        if s:
-                            nums[pm] = s
-                        else:
-                            del nums[pm]
+                    _add_into(nums, pnums, k)
                     if not nums:
                         del acc[mono]
         return Poly(sys, {mono: from_numerators(nums, den) for mono, (nums, den) in acc.items()})
@@ -382,7 +354,7 @@ class Poly:
         acc: Dict[Mono, ParamPoly] = {}
         for m, c in self.terms.items():
             for m2, q in _reduce_raw(self.sys, _mono_add(m, mono)):
-                self._accumulate(acc, m2, c.scale(q))
+                accumulate(acc, m2, c.scale(q))
         return Poly(self.sys, acc)
 
     def pow(self, n: int) -> "Poly":
@@ -405,7 +377,7 @@ class Poly:
                     continue
                 m2 = list(m)
                 m2[off] = e - 1
-                self._accumulate(acc, tuple(m2), c.scale(e))
+                accumulate(acc, tuple(m2), c.scale(e))
             else:
                 cexp, sexp = m[off], m[off + 1]
                 # d(C^b S^a) = rate * (a C^(b+1) S^(a-1) - tag*b C^(b-1) S^(a+1))
@@ -416,14 +388,14 @@ class Poly:
                     for m2, q in _reduce_raw(sys, tuple(raw)):
                         n, d = q.numerator * rn * sexp, q.denominator * rd
                         g = math.gcd(n, d)
-                        self._accumulate(acc, m2, c._scaled(n // g, d // g))
+                        accumulate(acc, m2, c._scaled(n // g, d // g))
                 if cexp:
                     raw = list(m)
                     raw[off] = cexp - 1
                     raw[off + 1] = sexp + 1
                     n = tn * cexp
                     g = math.gcd(n, td)
-                    self._accumulate(acc, tuple(raw), c._scaled(n // g, td // g))
+                    accumulate(acc, tuple(raw), c._scaled(n // g, td // g))
         return Poly(self.sys, acc)
 
     def content(self) -> Mono:
@@ -574,6 +546,15 @@ def _divide_out(num: Poly, f: Poly, k: int) -> Tuple[Poly, int]:
         num = quot
         k -= 1
     return num, k
+
+
+def _raised(num: Poly, mono: Mono, factors: Iterable[Tuple[Poly, int]]) -> Poly:
+    """``num * mono * f**k * ...`` in the order given, skipping ``k == 0``."""
+    num = num.mul_mono(mono)
+    for f, k in factors:
+        if k:
+            num = num.mul(f.pow(k))
+    return num
 
 
 class CanonicalCoeff:
@@ -732,13 +713,9 @@ class CanonicalCoeff:
                 lcm_fac[f] = k
 
         def raise_num(c: "CanonicalCoeff") -> Poly:
-            num = c.num.mul_mono(_mono_sub(lcm_mono, c.den_mono))
             have = dict(c.den_factors)
-            for f, k in lcm_fac.items():
-                extra = k - have.get(f, 0)
-                if extra:
-                    num = num.mul(f.pow(extra))
-            return num
+            return _raised(c.num, _mono_sub(lcm_mono, c.den_mono),
+                           [(f, k - have.get(f, 0)) for f, k in lcm_fac.items()])
 
         num = raise_num(self)._plus(raise_num(o), sign)
         return self._normalize(self.sys, num, lcm_mono, tuple(lcm_fac.items()))
@@ -782,9 +759,7 @@ class CanonicalCoeff:
             return NotImplemented
         if o.is_zero:
             raise ZeroCoefficientDivision("division by an identically-zero coefficient")
-        num = self.num.mul_mono(o.den_mono)
-        for f, k in o.den_factors:
-            num = num.mul(f.pow(k))
+        num = _raised(self.num, o.den_mono, o.den_factors)
         fac: Dict[Poly, int] = dict(self.den_factors)
         fac[o.num] = fac.get(o.num, 0) + 1
         return self._normalize(self.sys, num, self.den_mono, tuple(fac.items()))

@@ -74,6 +74,21 @@ def join_signed(parts: List[str]) -> str:
                               for p in parts[1:])
 
 
+def accumulate(acc: dict, key, value, sign: int = 1):
+    """``acc[key] += sign*value`` for a ring element with ``_plus`` (a
+    ParamPoly or CanonicalCoeff): a new term goes last, a zero sum is
+    popped.  ``_add_into`` is the same rule for int numerators."""
+    cur = acc.get(key)
+    if cur is None:
+        s = value if sign == 1 else -value
+    else:
+        s = cur._plus(value, sign)
+    if s.is_zero:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 def _pmono_key(m: PMono):
     # graded-lex key over the full alphabet
     deg = sum(e for _, e in m)
@@ -401,20 +416,15 @@ def _add_into(out: Dict[PMono, int], nums: Dict[PMono, int], scale: int):
 
 
 def _product(a: Dict[PMono, int], b: Dict[PMono, int]) -> Dict[PMono, int]:
+    # a fixed m1 maps b's monomials to distinct ones, so a row of a is one
+    # sum in b's term order, and a row added to an empty sum is that sum
     out: Dict[PMono, int] = {}
     for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _pmono_mul(m1, m2)
-            c = c1 * c2
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-                continue
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+        row = {_pmono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+        if out:
+            _add_into(out, row, 1)
+        else:
+            out = row
     return out
 
 

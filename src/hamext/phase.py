@@ -19,7 +19,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .coeffs import (CanonicalCoeff, VarSystem, ZeroCoefficientDivision,
                      compile_numeric)
-from .params import ParamPoly, Q, QONE, as_parampoly, join_signed, power
+from .params import ParamPoly, Q, QONE, accumulate, as_parampoly, join_signed, power
 
 PExp = Tuple[int, ...]
 
@@ -166,24 +166,11 @@ class PPoly:
             return self.space.lift(other)
         return None
 
-    def _store(self, acc: Dict[PExp, CanonicalCoeff], pe: PExp, c: CanonicalCoeff,
-               sign: int = 1):
-        """acc[pe] += sign*c: a new term goes last, a zero sum is popped."""
-        cur = acc.get(pe)
-        if cur is None:
-            s = c if sign == 1 else -c
-        else:
-            s = cur._plus(c, sign)
-        if s.is_zero:
-            acc.pop(pe, None)
-        else:
-            acc[pe] = s
-
     def _plus(self, o: "PPoly", sign: int) -> "PPoly":
         """self + sign*o for sign = +-1, in one pass over o's terms."""
         acc = dict(self.terms)
         for pe, c in o.terms.items():
-            self._store(acc, pe, c, sign)
+            accumulate(acc, pe, c, sign)
         return PPoly(self.space, acc)
 
     def __add__(self, other):
@@ -217,7 +204,7 @@ class PPoly:
         for pe1, c1 in self.terms.items():
             for pe2, c2 in o.terms.items():
                 pe = tuple(a + b for a, b in zip(pe1, pe2))
-                self._store(acc, pe, c1 * c2)
+                accumulate(acc, pe, c1 * c2)
         return PPoly(self.space, acc)
 
     __rmul__ = __mul__
@@ -249,7 +236,7 @@ class PPoly:
                 continue
             pe2 = list(pe)
             pe2[i] = e - 1
-            self._store(acc, tuple(pe2), c * e)
+            accumulate(acc, tuple(pe2), c * e)
         return PPoly(self.space, acc)
 
     def poisson(self, other: "PPoly") -> "PPoly":

@@ -84,6 +84,50 @@ def test_config_errors():
     assert run(["nope"]) == EXIT_CONFIG
 
 
+def test_config_values_need_the_flag_type(tmp_path, capsys):
+    """A --config value has the type its flag parses to, or is null where
+    the default is None; anything else is refused by name, not a crash."""
+    cfgfile = tmp_path / "job.json"
+    for doc in ({"m": "3"}, {"samples": "40"}, {"precision": True},
+                {"tol": "1e-3"}, {"L0": None}, {"param": {"omega": 0.5}},
+                {"param": "omega=1/2"}):
+        cfgfile.write_text(json.dumps(doc))
+        assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+        (field,) = doc
+        assert f"config field {field!r}" in capsys.readouterr().err
+    for doc in ({"m": 2}, {"omega": None}, {"t_final": 5},
+                {"param": ["omega=1/2"]}, {"param": {"omega": "1/2"}}):
+        cfgfile.write_text(json.dumps(doc))
+        assert run(["build", "--config", str(cfgfile)]) == EXIT_OK
+    # a mapping goes through the same name check as the flag
+    cfgfile.write_text(json.dumps({"param": {"zeta": "1"}}))
+    assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "unknown parameter 'zeta'" in capsys.readouterr().err
+
+
+def test_samples_and_precision_must_be_positive(tmp_path, capsys):
+    cfgfile = tmp_path / "job.json"
+    for field in ("samples", "precision"):
+        assert run(["verify", f"--{field}", "0"]) == EXIT_CONFIG
+        assert f"--{field} must be a positive integer" in capsys.readouterr().err
+        cfgfile.write_text(json.dumps({field: -1}))
+        assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert f"--{field} must be a positive integer" in capsys.readouterr().err
+
+
+def test_inline_L0_refused_when_c_is_nonzero(capsys):
+    """For c != 0 the profile takes L0 = 0, so a nonzero --L0 is refused
+    rather than dropped; --L0 0 and the default still build."""
+    args = ["build", "--model", "inline", "--c", "1", "--kappa", "0",
+            "--V", "(c1 + c2*cos(q))/sin(q)^2", "--eta", "sin(q)"]
+    for value in ("5", "sym"):
+        assert run(args + ["--L0", value]) == EXIT_CONFIG
+        assert f"--L0 {value}:" in capsys.readouterr().err
+    assert run(args + ["--L0", "0"]) == EXIT_OK
+    assert capsys.readouterr().out
+    assert run(args) == EXIT_OK
+
+
 def test_inline_verify_needs_every_parameter(capsys):
     args = ["verify", "--model", "inline", "--c", "1", "--kappa", "0",
             "--V", "(c1 + c2*cos(q))/sin(q)^2", "--eta", "sin(q)",

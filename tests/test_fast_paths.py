@@ -20,7 +20,7 @@ from hypothesis import assume, given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, apply_XL
 from hamext.coeffs import CanonicalCoeff, Poly, _reduce_raw
-from hamext.params import PARAMS, QZERO, _pmono_mul, as_q
+from hamext.params import PARAMS, QONE, QZERO, _pmono_mul, as_q
 from hamext.phase import PPoly
 
 from conftest import coeff_strategy, parampoly_strategy, ppoly_strategy
@@ -77,6 +77,27 @@ def ref_poly_mul(a, b):
             for mono, q in _reduce_raw(a.sys, raw):
                 _ref_accumulate(acc, mono, ref_pp_scale(c, q))
     return Poly(a.sys, acc)
+
+
+def ref_reduce_raw(sys, raw):
+    """Rewrite one C^2 -> 1 - tag*S^2 at a time until every C-exponent is
+    at most one, then sum the coefficients of equal monomials."""
+    out = {}
+    todo = [(raw, QONE)]
+    while todo:
+        mono, coef = todo.pop()
+        for v in sys.vars:
+            off = sys.offset(v.name)
+            if not v.is_linear and mono[off] >= 2:
+                lowered = list(mono)
+                lowered[off] -= 2
+                todo.append((tuple(lowered), coef))
+                lowered[off + 1] += 2
+                todo.append((tuple(lowered), -v.tag * coef))
+                break
+        else:
+            out[mono] = out.get(mono, QZERO) + coef
+    return {m: c for m, c in out.items() if c}
 
 
 def ref_power(x, n, one, mul):
@@ -363,3 +384,17 @@ def test_parampoly_substitute(a, mapping):
     got = a.substitute(mapping)
     assert pp_items(got) == pp_items(ref_pp_substitute(a, mapping))
     assert_canonical(got)
+
+
+@given(st.data())
+def test_reduce_raw(data):
+    # two tagged variables as well, so that the rewrites of one variable
+    # meet terms already rewritten in the other
+    sys = data.draw(st.sampled_from(SYSTEMS + [VarSystem(
+        [Var.circular("q"), Var.tagged("r", Q(-1, 2), 2), Var.linear("u")])]))
+    raw = tuple(data.draw(st.lists(st.integers(0, 7), min_size=sys.width,
+                                   max_size=sys.width)))
+    got = _reduce_raw(sys, raw)
+    assert dict(got) == ref_reduce_raw(sys, raw)
+    # each basis monomial occurs once, with a nonzero coefficient
+    assert len(dict(got)) == len(got) and all(q for _, q in got)
