@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .extension import SeedConditionError, make_extension_space, solve_linear_se
 from .models import CATALOG, ModelSpec, catalog_params, extend_model
 from .params import PARAMS, ParamPoly, Q
 from .phase import PhasePoint, PPoly
-from .verify import VerifySettings, run_model_verification
+from .verify import MIN_SAMPLES, VerifySettings, run_model_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -224,6 +225,11 @@ def make_config(argv: Sequence[str]) -> JobConfig:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"--{name} must be a positive integer, "
                               f"got {getattr(cfg, name)}")
+    if cfg.command == "verify" and cfg.samples < MIN_SAMPLES:
+        raise ConfigError(f"--samples {cfg.samples}: a sampled claim needs at least "
+                          f"{MIN_SAMPLES} accepted samples")
+    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {cfg.tol}")
     return cfg
 
 

@@ -34,8 +34,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import mpmath
 
-from .params import (ParamPoly, Q, QONE, QZERO, _add_into, accumulate, as_parampoly, as_q,
-                     from_numerators, join_signed, power)
+from .params import (PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _product, accumulate,
+                     as_parampoly, as_q, from_numerators, join_signed, power)
 
 Mono = Tuple[int, ...]
 
@@ -220,12 +220,13 @@ class VarSystem:
 
 
 @lru_cache(maxsize=None)
-def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, Q], ...]:
+def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, int, int], ...]:
     """Rewrite C-powers >= 2 via C^2 = 1 - tag*S^2; returns basis terms.
 
-    The terms are distinct and nonzero, so they need no sum: the terms of
-    one rewrite differ in their S-power, and those of different parents
-    in the slots of a variable already rewritten.
+    Each term is ``(mono, n, d)``, the coefficient ``n/d`` in lowest terms
+    with ``d > 0``.  The terms are distinct and nonzero, so they need no
+    sum: the terms of one rewrite differ in their S-power, and those of
+    different parents in the slots of a variable already rewritten.
     """
     pending: List[Tuple[List[int], Q]] = [(list(raw), QONE)]
     for v, off in zip(sys.vars, sys._offset):
@@ -245,7 +246,7 @@ def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, Q], ...]:
                 m2[s_off] += 2 * j
                 nxt.append((m2, coef * math.comb(k, j) * (-v.tag) ** j))
         pending = nxt
-    return tuple((tuple(mono), coef) for mono, coef in pending)
+    return tuple((tuple(mono), coef.numerator, coef.denominator) for mono, coef in pending)
 
 
 def _mono_key(m: Mono):
@@ -315,20 +316,38 @@ class Poly:
         return Poly(self.sys, {m: c * pp for m, c in self.terms.items()})
 
     def scale_q(self, q: Q) -> "Poly":
-        return Poly(self.sys, {m: pp.scale(q) for m, pp in self.terms.items()}) if q != 1 else self
+        return self._scaled(q.numerator, q.denominator)
+
+    def _scaled(self, n: int, d: int) -> "Poly":
+        """self * n/d for coprime ints n != 0 and d > 0."""
+        if n == d:
+            return self
+        return Poly(self.sys, {m: pp._scaled(n, d) for m, pp in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
         # Sums go into [int numerators, den] pairs by the rule of
         # accumulate and ParamPoly._plus at both levels.  A new denominator
         # rescales a pair to the lcm, and a nonzero factor never changes
-        # which sums vanish.
+        # which sums vanish.  A constant coefficient factor keeps the other
+        # coefficient's numerators in their order, as ParamPoly.__mul__ does.
         sys = self.sys
+        add = operator.add
+        rows = [(m2, c2.nums, c2.den, c2.nums.get(PUNIT) if len(c2.nums) == 1 else None)
+                for m2, c2 in other.terms.items()]
         acc: Dict[Mono, list] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                pnums, pk, pden = c1._times(c2)
-                for mono, q in _reduce_raw(sys, _mono_add(m1, m2)):
-                    k, d = pk * q.numerator, q.denominator * pden
+            anums, aden = c1.nums, c1.den
+            aconst = anums.get(PUNIT) if len(anums) == 1 else None
+            for m2, bnums, bden, bconst in rows:
+                if bconst is not None:
+                    pnums, pk = anums, bconst
+                elif aconst is not None:
+                    pnums, pk = bnums, aconst
+                else:
+                    pnums, pk = _product(anums, bnums), 1
+                pden = aden * bden
+                for mono, qn, qd in _reduce_raw(sys, tuple(map(add, m1, m2))):
+                    k, d = pk * qn, qd * pden
                     cur = acc.get(mono)
                     if cur is None:
                         acc[mono] = [dict(pnums) if k == 1 else
@@ -353,8 +372,8 @@ class Poly:
             return self
         acc: Dict[Mono, ParamPoly] = {}
         for m, c in self.terms.items():
-            for m2, q in _reduce_raw(self.sys, _mono_add(m, mono)):
-                accumulate(acc, m2, c.scale(q))
+            for m2, qn, qd in _reduce_raw(self.sys, _mono_add(m, mono)):
+                accumulate(acc, m2, c._scaled(qn, qd))
         return Poly(self.sys, acc)
 
     def pow(self, n: int) -> "Poly":
@@ -385,8 +404,8 @@ class Poly:
                     raw = list(m)
                     raw[off] = cexp + 1
                     raw[off + 1] = sexp - 1
-                    for m2, q in _reduce_raw(sys, tuple(raw)):
-                        n, d = q.numerator * rn * sexp, q.denominator * rd
+                    for m2, qn, qd in _reduce_raw(sys, tuple(raw)):
+                        n, d = qn * rn * sexp, qd * rd
                         g = math.gcd(n, d)
                         accumulate(acc, m2, c._scaled(n // g, d // g))
                 if cexp:
@@ -735,12 +754,43 @@ class CanonicalCoeff:
             return NotImplemented
         return o._plus(self, -1)
 
+    def _rational(self) -> Optional[Tuple[int, int]]:
+        """``(n, d)`` if this is the nonzero rational constant n/d, else None."""
+        terms = self.num.terms
+        if len(terms) != 1 or self.den_factors or any(self.den_mono):
+            return None
+        (mono, pp), = terms.items()
+        nums = pp.nums
+        if any(mono) or len(nums) != 1 or PUNIT not in nums:
+            return None
+        return nums[PUNIT], pp.den
+
+    def _scaled(self, n: int, d: int) -> "CanonicalCoeff":
+        """self * n/d for coprime ints n != 0 and d > 0.
+
+        A unit changes neither the numerator's content nor which factor
+        divides it, so the result is already normalized.
+        """
+        if n == d:
+            return self
+        return CanonicalCoeff(self.sys, self.num._scaled(n, d), self.den_mono,
+                              self.den_factors)
+
     def __mul__(self, other):
+        if type(other) is int:
+            return self._scaled(other, 1) if other and not self.is_zero else self.sys.zero()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return self.sys.zero()
+        # a rational-constant factor scales the other operand
+        k = o._rational()
+        if k is not None:
+            return self._scaled(*k)
+        k = self._rational()
+        if k is not None:
+            return o._scaled(*k)
         fac: Dict[Poly, int] = dict(self.den_factors)
         for f, k in o.den_factors:
             fac[f] = fac.get(f, 0) + k
@@ -879,7 +929,9 @@ class CanonicalCoeff:
             (Poly(big, {conv(m): pp for m, pp in f.terms.items()}), k)
             for f, k in self.den_factors
         )
-        return CanonicalCoeff(big, num, conv(self.den_mono), fac)
+        # the layout of big may rank the monomials differently, so the
+        # factors are normalized and sorted again
+        return self._normalize(big, num, conv(self.den_mono), fac)
 
     def sort_key(self):
         return (self.num.sort_key(), self.den_mono,

@@ -84,10 +84,12 @@ class TrajectoryConfig:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN and inf pass a "<= 0" test, and the solver then never ends
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
+        if not all(math.isfinite(t) and t > 0 for t in (self.rtol, self.atol)):
+            raise ValueError("tolerances must be positive and finite, "
+                             f"got rtol={self.rtol}, atol={self.atol}")
         if self.stride < 2:
             raise ValueError("stride must be at least 2")
 

@@ -249,20 +249,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def _times(self, o: "ParamPoly") -> Tuple[Dict[PMono, int], int, int]:
-        """``(nums, k, den)`` with self*o == k*nums/den, not reduced.
-
-        For a constant factor ``nums`` is the other operand's own dict,
-        so callers only read it; the term order is that of ``__mul__``.
-        """
-        a, b = self.nums, o.nums
-        den = self.den * o.den
-        if len(b) == 1 and PUNIT in b:
-            return a, b[PUNIT], den
-        if len(a) == 1 and PUNIT in a:
-            return b, a[PUNIT], den
-        return _product(a, b), 1, den
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("ParamPoly powers must be non-negative integers")

@@ -15,6 +15,7 @@ All values are immutable and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .coeffs import (CanonicalCoeff, VarSystem, ZeroCoefficientDivision,
@@ -200,10 +201,25 @@ class PPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.terms, o.terms
         acc: Dict[PExp, CanonicalCoeff] = {}
-        for pe1, c1 in self.terms.items():
-            for pe2, c2 in o.terms.items():
-                pe = tuple(a + b for a, b in zip(pe1, pe2))
+        if len(a) == 1 or len(b) == 1:
+            # a one-term factor shifts the other's exponents injectively, so
+            # each product lands on a new key, in the other operand's order;
+            # a coefficient is still c_self * c_other
+            if len(b) == 1:
+                (pe0, c0), = b.items()
+                products = ((pe, c * c0) for pe, c in a.items())
+            else:
+                (pe0, c0), = a.items()
+                products = ((pe, c0 * c) for pe, c in b.items())
+            for pe, c in products:
+                if not c.is_zero:
+                    acc[tuple(map(add, pe, pe0))] = c
+            return PPoly(self.space, acc)
+        for pe1, c1 in a.items():
+            for pe2, c2 in b.items():
+                pe = tuple(map(add, pe1, pe2))
                 accumulate(acc, pe, c1 * c2)
         return PPoly(self.space, acc)
 

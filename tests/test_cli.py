@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
-                        EXIT_SEED, main)
+                        EXIT_SEED, main, make_config)
 from hamext.models import CATALOG
+from hamext.verify import MIN_SAMPLES
 
 
 def run(argv):
@@ -113,6 +114,27 @@ def test_samples_and_precision_must_be_positive(tmp_path, capsys):
         cfgfile.write_text(json.dumps({field: -1}))
         assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
         assert f"--{field} must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_samples_below_the_minimum_refused(capsys):
+    # a sampled claim needs MIN_SAMPLES accepted samples, so fewer can only fail
+    args = ["verify", "--model", "harmonic", "--param", "L0=1/2"]
+    assert run(args + ["--samples", str(MIN_SAMPLES - 1)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--samples {MIN_SAMPLES - 1}:" in err and f"at least {MIN_SAMPLES}" in err
+    assert make_config(["verify", "--samples", str(MIN_SAMPLES)]).samples == MIN_SAMPLES
+
+
+def test_tol_must_be_positive_and_finite(tmp_path, capsys):
+    cfgfile = tmp_path / "job.json"
+    for command in ("verify", "simulate"):
+        for value in ("-1", "0", "nan", "inf"):
+            assert run([command, "--model", "harmonic", "--param", "L0=1/2",
+                        "--tol", value]) == EXIT_CONFIG
+            assert "--tol must be positive and finite" in capsys.readouterr().err
+        cfgfile.write_text(json.dumps({"tol": -1e-9}))
+        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "--tol must be positive and finite" in capsys.readouterr().err
 
 
 def test_inline_L0_refused_when_c_is_nonzero(capsys):

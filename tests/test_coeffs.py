@@ -167,6 +167,13 @@ def test_embed(sysv):
     assert (w - big.S("q") / big.C("q")).is_zero
     with pytest.raises(ValueError):
         VarSystem([Var.linear("z")]).coord("z").embed(big)
+    # a layout that ranks the monomials differently gives the factor
+    # another leading term: the embedded value is stored normalized
+    uv = VarSystem([Var.linear("u"), Var.linear("v")])
+    vu = VarSystem([Var.linear("v"), Var.linear("u")])
+    w = (uv.one() / (uv.coord("u") * 2 + uv.coord("v"))).embed(vu)
+    assert w == vu.one() / (vu.coord("u") * 2 + vu.coord("v"))
+    assert w.render() == "1/(v + 2*u)"
 
 
 def test_rate_and_tag_generators():

@@ -196,3 +196,10 @@ def test_config_validation(line_space):
         TrajectoryConfig(initial=pt, t_final=1.0, rtol=0.0)
     with pytest.raises(ValueError):
         TrajectoryConfig(initial=pt, t_final=1.0, stride=1)
+    # NaN and inf pass a "<= 0" test, and the solver never ends on them
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            TrajectoryConfig(initial=pt, t_final=bad)
+        for name in ("rtol", "atol"):
+            with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+                TrajectoryConfig(initial=pt, t_final=1.0, **{name: bad})

@@ -19,7 +19,7 @@ from math import gcd
 from hypothesis import assume, given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, apply_XL
-from hamext.coeffs import CanonicalCoeff, Poly, _reduce_raw
+from hamext.coeffs import CanonicalCoeff, Poly, _is_pythagorean, _reduce_raw
 from hamext.params import PARAMS, QONE, QZERO, _pmono_mul, as_q
 from hamext.phase import PPoly
 
@@ -74,8 +74,8 @@ def ref_poly_mul(a, b):
         for m2, c2 in b.terms.items():
             c = ref_pp_mul(c1, c2)
             raw = tuple(x + y for x, y in zip(m1, m2))
-            for mono, q in _reduce_raw(a.sys, raw):
-                _ref_accumulate(acc, mono, ref_pp_scale(c, q))
+            for mono, n, d in _reduce_raw(a.sys, raw):
+                _ref_accumulate(acc, mono, ref_pp_scale(c, Q(n, d)))
     return Poly(a.sys, acc)
 
 
@@ -395,6 +395,153 @@ def test_reduce_raw(data):
     raw = tuple(data.draw(st.lists(st.integers(0, 7), min_size=sys.width,
                                    max_size=sys.width)))
     got = _reduce_raw(sys, raw)
-    assert dict(got) == ref_reduce_raw(sys, raw)
-    # each basis monomial occurs once, with a nonzero coefficient
-    assert len(dict(got)) == len(got) and all(q for _, q in got)
+    assert {m: Q(n, d) for m, n, d in got} == ref_reduce_raw(sys, raw)
+    # each basis monomial occurs once, with a nonzero int coefficient n/d
+    # in lowest terms
+    assert len({m for m, _, _ in got}) == len(got)
+    assert all(type(n) is int and n and type(d) is int and d > 0 and gcd(n, d) == 1
+               for _, n, d in got)
+
+
+# -- shape-aware products --------------------------------------------------------
+#
+# A rational-constant factor of ``CanonicalCoeff.__mul__`` scales the other
+# operand instead of running ``Poly.mul`` and ``_normalize``, and a one-term
+# factor of ``PPoly.__mul__`` shifts the other operand's exponents instead of
+# summing into an accumulator.  The references below are the general
+# products, built on the plain kernels above.
+
+
+def ref_coeff_mul(a, b):
+    """The general product: the numerators' product over the merged
+    denominator, normalized."""
+    if a.is_zero or b.is_zero:
+        return a.sys.zero()
+    fac = dict(a.den_factors)
+    for f, k in b.den_factors:
+        fac[f] = fac.get(f, 0) + k
+    return a._normalize(a.sys, ref_poly_mul(a.num, b.num),
+                        tuple(x + y for x, y in zip(a.den_mono, b.den_mono)),
+                        tuple(fac.items()))
+
+
+def ref_ppoly_mul(f, g):
+    """The double loop over both operands, summed by the plain rule."""
+    acc = {}
+    for pe1, c1 in f.terms.items():
+        for pe2, c2 in g.terms.items():
+            pe = tuple(x + y for x, y in zip(pe1, pe2))
+            cur = acc.get(pe)
+            s = ref_coeff_mul(c1, c2) if cur is None else cur + ref_coeff_mul(c1, c2)
+            if s.is_zero:
+                acc.pop(pe, None)
+            else:
+                acc[pe] = s
+    return PPoly(f.space, acc)
+
+
+def divided_atoms(sys):
+    """Quotients with multi-term denominator factors, one of them Pythagorean
+    (a C^2 of the denominator), which the strategy of conftest never forms."""
+    S, C, u = sys.S("q"), sys.C("q"), sys.coord("u")
+    c1, c2 = sys.param("c1"), sys.param("c2")
+    return [sys.one() / (S + 2),
+            (u * S + c1) / ((u + 1) * (S + 2) ** 2),
+            (c1 + c2 * C) / (S * S),
+            (C * Q(-3, 4) + u) / C / (C * (u + S)),
+            (c1 * u - c2 * S * C) / ((S + 2) * (u * u + c1))]
+
+
+RATIONALS = [1, 2, -3, 0, Q(1), Q(-1), Q(-3, 4), Q(5, 7), ParamPoly.scalar(Q(-2, 9))]
+
+
+def coeffs_with_divisions(sys):
+    return st.one_of(coeff_strategy(sys), st.sampled_from(divided_atoms(sys)))
+
+
+@given(st.data())
+def test_rational_constant_factor(data):
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    c = data.draw(coeffs_with_divisions(sys))
+    k = data.draw(st.sampled_from(RATIONALS))
+    lifted = sys.lift(k)
+    before = coeff_items(c)
+    want = ref_coeff_mul(c, lifted)
+    for got in (c * k, k * c, c * lifted, lifted * c):
+        assert got == want
+        assert coeff_items(got) == coeff_items(want)
+        assert_canonical_coeff(got)
+    assert coeff_items(ref_coeff_mul(lifted, c)) == coeff_items(want)
+    assert coeff_items(c) == before
+
+
+@given(st.data())
+def test_general_coefficient_product(data):
+    # the general product, with the operand order kept, for two
+    # non-constant coefficients; their product with an explicit quotient too
+    sys = data.draw(st.sampled_from(SYSTEMS))
+    a = data.draw(coeffs_with_divisions(sys))
+    b = data.draw(st.sampled_from(divided_atoms(sys)))
+    before = (coeff_items(a), coeff_items(b))
+    for x, y in ((a, b), (b, a)):
+        assert coeff_items(x * y) == coeff_items(ref_coeff_mul(x, y))
+    assert (coeff_items(a), coeff_items(b)) == before
+
+
+def test_near_constants_take_the_general_product():
+    # one numerator term at the unit monomial is not enough: a monomial
+    # or multi-term denominator, or a parameter, makes a coefficient
+    # non-constant
+    for sys in SYSTEMS:
+        u, S = sys.coord("u"), sys.S("q")
+        near = [sys.scalar(2) / u, sys.one() / (S + 2), sys.param("c1"),
+                sys.param("c1") * Q(-1, 2) + 1, S]
+        for a in near:
+            for b in near + divided_atoms(sys):
+                for x, y in ((a, b), (b, a)):
+                    assert coeff_items(x * y) == coeff_items(ref_coeff_mul(x, y))
+
+
+def test_unit_factor_is_returned():
+    for sys in SYSTEMS:
+        atoms = divided_atoms(sys)
+        assert any(len(c.den_factors) > 1 for c in atoms)
+        assert any(_is_pythagorean(sys, f) for c in atoms for f, _ in c.den_factors)
+        for c in atoms:
+            assert c * 1 is c and 1 * c is c
+            assert c * sys.one() is c and sys.one() * c is c
+            assert c * Q(1) is c and c * ParamPoly.one() is c
+
+
+def single_terms(space):
+    """One-term momentum polynomials: constants, a bare momentum, and
+    non-constant coefficients at nonzero exponents."""
+    sys = space.system
+    coeffs = coeffs_with_divisions(sys)
+    return st.one_of(
+        st.sampled_from(RATIONALS).filter(lambda k: k != 0).map(space.lift),
+        st.just(space.p("u")),
+        st.tuples(coeffs.filter(lambda c: not c.is_zero), st.integers(0, 2),
+                  st.integers(0, 2)).map(
+            lambda t: PPoly(space, {(t[1], t[2]): t[0]})),
+    )
+
+
+@given(st.data())
+def test_single_term_factor(data):
+    space = data.draw(st.sampled_from(SPACES))
+    sys = space.system
+    f = data.draw(st.one_of(
+        ppoly_strategy(space),
+        st.lists(st.sampled_from(divided_atoms(sys)), min_size=2, max_size=3).map(
+            lambda cs: sum((space.lift(c) * space.p("q") ** i for i, c in enumerate(cs)),
+                           space.zero()))))
+    t = data.draw(single_terms(space))
+    before = (ppoly_items(f), ppoly_items(t))
+    for x, y in ((f, t), (t, f), (t, t)):
+        got = x * y
+        want = ref_ppoly_mul(x, y)
+        assert got == want
+        assert ppoly_items(got) == ppoly_items(want)
+        assert_canonical_ppoly(got)
+    assert (ppoly_items(f), ppoly_items(t)) == before
