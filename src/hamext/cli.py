@@ -8,6 +8,12 @@ Commands
     catalog      list built-in models with their parameter schemas
     solve-linear classify a linear seed family and certify its residuals
 
+--samples, --precision, --seed and --inject-defect are verify's alone;
+build and simulate refuse them, as flags or in a --config file.  Each
+command loads only the numeric stack it uses: build neither numpy nor
+scipy, verify numpy (for its rank check), simulate numpy and scipy (for
+the integrator).
+
 Exit codes: 0 success, 1 configuration error, 2 seed-condition failure,
 3 failed claim, 4 integration abort.
 """
@@ -22,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
 
-from . import dynamics
 from .coeffs import Var
 from .exprparse import ExpressionError, parse_coeff
 from .extension import SeedConditionError, make_extension_space, solve_linear_seed
@@ -88,6 +93,8 @@ JobConfig.KNOWN = set(JobConfig.__dataclass_fields__)
 
 #: Fields that only the inline model reads; catalog models refuse them.
 INLINE_ONLY = ("V", "eta", "L0", "c", "kappa")
+#: Fields that only verify reads; build and simulate refuse them.
+VERIFY_ONLY = ("samples", "precision", "seed", "inject_defect")
 
 
 def _json_type_ok(hint, value) -> bool:
@@ -155,19 +162,20 @@ def build_arg_parser() -> _Parser:
         p.add_argument("--eta", default=None, help="inline seed coefficient of p")
         p.add_argument("--param", action="append", default=[],
                        metavar="NAME=VALUE", help="numeric parameter value")
-        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--precision", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--inject-defect", dest="inject_defect", default=None,
-                       choices=("omega-shift",),
-                       help="test-only tampering of the first integral")
         p.add_argument("--config", default=None,
                        help="JSON file with the same keys as the flags")
 
-    for name in ("build", "verify"):
-        common(sub.add_parser(name))
+    common(sub.add_parser("build"))
+    ver = sub.add_parser("verify")
+    common(ver)
+    ver.add_argument("--samples", type=int, default=None)
+    ver.add_argument("--precision", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--inject-defect", dest="inject_defect", default=None,
+                     choices=("omega-shift",),
+                     help="test-only tampering of the first integral")
     sim = sub.add_parser("simulate")
     common(sim)
     sim.add_argument("--t-final", dest="t_final", type=float, default=None)
@@ -184,6 +192,10 @@ def build_arg_parser() -> _Parser:
     sol.add_argument("--L0", default="sym")
     sol.add_argument("--out", default=None)
     return ap
+
+
+def _flags(fields: Sequence[str]) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in fields)
 
 
 def make_config(argv: Sequence[str]) -> JobConfig:
@@ -215,9 +227,13 @@ def make_config(argv: Sequence[str]) -> JobConfig:
     model = data.get("model", JobConfig.model)
     given = [k for k in INLINE_ONLY if k in data]
     if data["command"] in ("build", "verify", "simulate") and model in CATALOG and given:
-        flags = ", ".join(f"--{k}" for k in given)
-        raise ConfigError(f"{flags}: only --model inline reads these; the catalog "
+        raise ConfigError(f"{_flags(given)}: only --model inline reads these; the catalog "
                           f"model {model!r} takes --m, --n, --omega and its parameters")
+    # the parsers of build and simulate lack these flags, so only a
+    # --config file can bring them here
+    given = [k for k in VERIFY_ONLY if k in data]
+    if data["command"] in ("build", "simulate") and given:
+        raise ConfigError(f"{_flags(given)}: only verify reads these")
     cfg = JobConfig(**data)
     if cfg.m < 1 or cfg.n < 1:
         raise ConfigError("m and n must be positive integers")
@@ -367,6 +383,8 @@ def _initial_point(cfg: JobConfig, model: ModelSpec) -> PhasePoint:
                 coords[k] = float(v)
             except ValueError:
                 raise ConfigError(f"bad coordinate value {v!r}")
+            if not math.isfinite(coords[k]):
+                raise ConfigError(f"--x0 {k}={v.strip()}: coordinates must be finite")
         missing = [k for k in names if k not in coords]
         if missing:
             raise ConfigError(f"--x0 missing coordinates {missing}")
@@ -380,6 +398,9 @@ def _initial_point(cfg: JobConfig, model: ModelSpec) -> PhasePoint:
 
 
 def cmd_simulate(cfg: JobConfig) -> int:
+    # the only command that needs scipy: build and verify start without it
+    from . import dynamics
+
     model = build_model(cfg)
     params = numeric_params(cfg, model)
     point = _initial_point(cfg, model)

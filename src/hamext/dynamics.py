@@ -197,11 +197,16 @@ def write_trajectory(path: str, traj: Trajectory,
 
 def validate_initial_point(point: PhasePoint, functions: Sequence[PPoly],
                            params: Mapping[str, object], guard: float = 1e-9):
-    """Reject initial data on or too near a coefficient singularity."""
+    """Reject initial data on or too near a coefficient singularity, or at
+    which a monitored function has no finite float value (it overflows)."""
     fn = point.space.compile(functions, params, guard=guard)
     try:
         fn(*point.values)
     except SingularEvaluation as exc:
         raise ValueError(
             f"initial point is singular for a monitored function: {exc}"
+        ) from exc
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise ValueError(
+            f"initial point gives no value of a monitored function: {exc}"
         ) from exc

@@ -17,10 +17,10 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
-import numpy as np
 
 from .coeffs import SingularEvaluation
 from .models import ModelSpec, golden_K21
@@ -196,6 +196,9 @@ def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
     Singular values below ``threshold`` times the largest one count as
     zero, which makes the generic-rank statement operational.
     """
+    # numpy only here, so that build and the other checks start without it
+    import numpy as np
+
     if not functions:
         raise ValueError("independence needs at least one function")
     grads = functions[0].space.compile([G for F in functions for G in _gradient(F)],
@@ -352,33 +355,31 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
         t0 = time.monotonic()
         golden = golden_K21(model.params["alpha1"], model.params["alpha2"],
                             model.params["omega"])
+        pinned = load_golden_constant("ttw_1_1")
         pts = sample_points(model.space, settings.samples, rng)
         const, dev, sym_ok, used, rej = golden_compare(K, golden, pts, params,
                                                        settings.precision)
-        pinned = load_golden_constant("ttw_1_1")
-        const_ok = pinned is None or abs(const - pinned) < 1e-9
+        const_ok = abs(const - pinned) < 1e-9
         report.add(ClaimResult(
             claim="golden_compare", ok=bool(dev < 1e-12 and const_ok
                                             and (sym_ok in (None, True))),
             symbolic=sym_ok, max_residual=dev,
             samples_used=used, samples_rejected=rej,
             details={"constant": f"{const:.12g}",
-                     "pinned_constant": "none" if pinned is None else f"{pinned:.12g}"},
+                     "pinned_constant": f"{pinned:.12g}"},
         ))
         log("golden_compare", t0)
 
     return report
 
 
-def load_golden_constant(key: str) -> Optional[float]:
-    """Pinned proportionality constants for golden comparisons."""
+def load_golden_constant(key: str) -> float:
+    """Pinned proportionality constant ``key`` of a golden comparison, from
+    the package's ``data/golden.json``; a missing file or key is an error."""
     import importlib.resources as res
+    path = "data/golden.json"
     try:
-        text = res.files("hamext").joinpath("data/golden.json").read_text()
-    except FileNotFoundError:  # pragma: no cover
-        return None
-    data = json.loads(text)
-    if key not in data:
-        return None
-    from fractions import Fraction
-    return float(Fraction(data[key]["constant"]))
+        data = json.loads(res.files("hamext").joinpath(path).read_text())
+        return float(Fraction(data[key]["constant"]))
+    except (FileNotFoundError, KeyError) as exc:
+        raise LookupError(f"no pinned golden constant {key!r} in hamext/{path}") from exc

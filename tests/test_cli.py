@@ -61,6 +61,34 @@ def test_catalog_models_refuse_inline_flags(tmp_path, capsys):
     assert "--V, --L0:" in capsys.readouterr().err
 
 
+def test_verify_only_flags_refused_by_build_and_simulate(tmp_path, capsys):
+    """--samples, --precision, --seed and --inject-defect are read only by
+    verify, so build and simulate refuse them, by flag or from a --config
+    file, instead of dropping them."""
+    flags = {"samples": "40", "precision": "30", "seed": "7",
+             "inject-defect": "omega-shift"}
+    values = {"samples": 40, "precision": 30, "seed": 7, "inject_defect": "omega-shift"}
+    cfgfile = tmp_path / "job.json"
+    for command in ("build", "simulate"):
+        args = [command, "--model", "harmonic", "--param", "L0=1/2"]
+        for flag, value in flags.items():
+            assert run(args + [f"--{flag}", value]) == EXIT_CONFIG
+            assert f"--{flag}" in capsys.readouterr().err
+        for key, value in values.items():
+            cfgfile.write_text(json.dumps({key: value}))
+            assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
+            flag = key.replace("_", "-")
+            assert f"--{flag}: only verify reads these" in capsys.readouterr().err
+        cfgfile.write_text(json.dumps(values))
+        assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
+        assert ("--samples, --precision, --seed, --inject-defect: only verify"
+                in capsys.readouterr().err)
+    # verify itself still takes all four, as flags and from a file
+    assert make_config(["verify", "--seed", "7", "--inject-defect", "omega-shift"]).seed == 7
+    cfgfile.write_text(json.dumps(values))
+    assert make_config(["verify", "--config", str(cfgfile)]).precision == 30
+
+
 def test_build_inline_ok(capsys):
     rc = run(["build", "--model", "inline", "--c", "1", "--kappa", "0",
               "--V", "(c1 + c2*cos(q))/sin(q)^2", "--eta", "sin(q)",
@@ -240,6 +268,20 @@ def test_simulate_singular_initial_refused(capsys):
     rc = run(["simulate", "--model", "ttw",
               "--x0", "q=0.0,u=0.8,p_q=0.4,p_u=0.1"])
     assert rc == EXIT_CONFIG
+
+
+def test_simulate_refuses_a_bad_x0_by_name(capsys):
+    """A non-finite coordinate is refused before the solver sees it, and an
+    initial point whose invariants overflow is a configuration error, not a
+    traceback."""
+    args = ["simulate", "--model", "harmonic", "--param", "L0=1/2", "--t-final", "5"]
+    for value in ("nan", "inf", "-inf"):
+        rc = run(args + ["--x0", f"q={value},u=0.8,p_q=0.4,p_u=-0.3"])
+        assert rc == EXIT_CONFIG
+        assert f"--x0 q={value}: coordinates must be finite" in capsys.readouterr().err
+    rc = run(args + ["--x0", "q=1e308,u=0.8,p_q=0.4,p_u=-0.3"])
+    assert rc == EXIT_CONFIG
+    assert "initial point gives no value" in capsys.readouterr().err
 
 
 def test_simulate_integration_abort(capsys):

@@ -1,0 +1,64 @@
+"""Each command loads only the numeric stack it uses.
+
+``build`` needs neither numpy nor scipy, ``verify`` needs numpy (its rank
+check) and ``simulate`` needs both (the integrator).  Every case runs in a
+fresh interpreter, because this test process imported both long ago.  A
+blocked module is set to ``None`` in ``sys.modules``, so importing it
+raises ImportError.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+BUILD = ["build", "--model", "ttw", "--m", "1", "--n", "1", "--omega", "sym"]
+VERIFY = ["verify", "--model", "ttw", "--m", "1", "--n", "1", "--samples", "30"]
+SIMULATE = ["simulate", "--model", "harmonic", "--param", "L0=1/2",
+            "--t-final", "1", "--stride", "5"]
+
+MAIN = """\
+import sys
+for name in sys.argv[1].split(","):
+    if name:
+        sys.modules[name] = None
+from hamext.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+def _python(*args) -> bytes:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def _hamext(argv, blocked=()) -> bytes:
+    """stdout of ``hamext ARGV`` in a fresh interpreter without ``blocked``."""
+    return _python("-c", MAIN, ",".join(blocked), *argv)
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    out = _python("-c", "import sys, hamext.cli\n"
+                        "print(sorted(m for m in sys.modules\n"
+                        "             if m.split('.')[0] in ('numpy', 'scipy')))")
+    assert out.decode().strip() == "[]"
+
+
+def test_build_runs_without_numpy_and_scipy():
+    assert _hamext(BUILD, blocked=("numpy", "scipy")) == _hamext(BUILD)
+
+
+def test_verify_runs_without_scipy():
+    assert _hamext(VERIFY, blocked=("scipy",)) == _hamext(VERIFY)
+
+
+def test_simulate_loads_the_integrator_when_run():
+    doc = json.loads(_hamext(SIMULATE))
+    assert doc["success"] is True and doc["samples"] == 5

@@ -1,3 +1,5 @@
+import importlib.resources
+import json
 import random
 
 import pytest
@@ -113,6 +115,23 @@ def test_golden_compare_trivial_and_real(ttw, settings, ttw_params):
     assert sym is True
     assert const == pytest.approx(load_golden_constant("ttw_1_1"), abs=1e-30)
     assert dev < 1e-12 and used >= 30
+
+
+def test_missing_golden_constant_is_an_error(ttw, ttw_params, tmp_path, monkeypatch):
+    """A golden comparison whose pinned constant is gone fails loudly, naming
+    the key, instead of passing with ``"pinned_constant": "none"``."""
+    table = json.loads(importlib.resources.files("hamext")
+                       .joinpath("data/golden.json").read_text())
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+    with pytest.raises(LookupError, match="'ttw_1_1'"):
+        load_golden_constant("ttw_1_1")   # no data/golden.json at all
+    del table["ttw_1_1"]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "golden.json").write_text(json.dumps(table))
+    with pytest.raises(LookupError, match="'ttw_1_1'"):
+        load_golden_constant("ttw_1_1")
+    with pytest.raises(LookupError, match="'ttw_1_1'"):
+        run_model_verification(ttw, ttw_params, VerifySettings(samples=30))
 
 
 def test_fd_crosscheck(ttw, settings, ttw_params):
