@@ -14,6 +14,8 @@ command loads only the numeric stack it uses: build neither numpy nor
 scipy, verify numpy (for its rank check), simulate numpy and scipy (for
 the integrator).
 
+An --out that cannot be written is refused before any work is done.
+
 Exit codes: 0 success, 1 configuration error, 2 seed-condition failure,
 3 failed claim, 4 integration abort.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -246,7 +249,21 @@ def make_config(argv: Sequence[str]) -> JobConfig:
                           f"{MIN_SAMPLES} accepted samples")
     if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise ConfigError(f"--tol must be positive and finite, got {cfg.tol}")
+    if cfg.out:
+        _check_out(cfg)
     return cfg
+
+
+def _check_out(cfg: JobConfig):
+    """Refuse an --out that cannot be written, before the work is done."""
+    parent = os.path.dirname(cfg.out) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {cfg.out}: no directory {parent!r} to write into")
+    targets = ([cfg.out + ".traj.tsv", cfg.out + ".drift.json"]
+               if cfg.command == "simulate" else [cfg.out])
+    for path in targets:
+        if os.path.isdir(path):
+            raise ConfigError(f"--out {cfg.out}: {path!r} is a directory")
 
 
 # ---------------------------------------------------------------------------

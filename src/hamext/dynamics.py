@@ -10,7 +10,12 @@ Conservation claims are checked as drift bounds along trajectories; a
 splitting or structure-preserving scheme is deliberately not used because
 the position-dependent kinetic coupling has no closed-form sub-flows.
 
-Trajectories are written as delimited text with 17 significant digits.
+Solver rows cross into Python as Python floats (``ndarray.tolist``): the
+right-hand side, the invariant monitor and the trajectory writer read no
+numpy scalars.  The compiled functions take ``float()`` of each
+coordinate first, so the values are bitwise those of ndarray rows.
+Trajectories are written as delimited text with 17 significant digits,
+one ``%.16e`` format per row.
 """
 
 from __future__ import annotations
@@ -59,6 +64,11 @@ def hamiltons_equations(H: PPoly, params: Mapping[str, object]) -> Callable:
     dim = len(comps)
 
     def field(t: float, y: Sequence[float]) -> List[float]:
+        # the solver passes an ndarray; the compiled function converts each
+        # coordinate with float(), and Python floats convert faster than
+        # numpy scalars, to bitwise the same values
+        if isinstance(y, np.ndarray):
+            y = y.tolist()
         try:
             return fn(*y)
         except (ZeroDivisionError, OverflowError, ValueError):
@@ -155,9 +165,9 @@ def invariant_values(traj: Trajectory, invariants: Mapping[str, PPoly],
     """The invariants compiled once, as one function evaluated at every
     output row; unguarded, like ``compile_ppoly``."""
     fn = traj.space.compile(list(invariants.values()), params, guard=0.0)
-    rows = [fn(*row) for row in traj.y]
-    return {name: np.array([row[i] for row in rows], dtype=float)
-            for i, name in enumerate(invariants)}
+    rows = [fn(*row) for row in traj.y.tolist()]
+    columns = zip(*rows) if rows else [()] * len(invariants)
+    return {name: np.array(col, dtype=float) for name, col in zip(invariants, columns)}
 
 
 def monitor_invariants(traj: Trajectory, values: Mapping[str, np.ndarray]) -> DriftReport:
@@ -184,15 +194,17 @@ def monitor_invariants(traj: Trajectory, values: Mapping[str, np.ndarray]) -> Dr
 
 def write_trajectory(path: str, traj: Trajectory,
                      invariants: Optional[Mapping[str, np.ndarray]] = None):
-    """Delimited text: header row, then t, coordinates, invariant columns."""
+    """Delimited text: header row, then t, coordinates, invariant columns.
+
+    Each row is one ``%.16e`` format over Python floats."""
     names = list(traj.space.coordinate_names)
     inv_names = sorted(invariants) if invariants else []
+    columns = [traj.t.tolist(), *traj.y.T.tolist(),
+               *(invariants[k].tolist() for k in inv_names)]
+    row = "\t".join(["%.16e"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write("\t".join(["t"] + names + inv_names) + "\n")
-        for i, t in enumerate(traj.t):
-            row = [f"{t:.16e}"] + [f"{v:.16e}" for v in traj.y[i]]
-            row += [f"{invariants[k][i]:.16e}" for k in inv_names]
-            fh.write("\t".join(row) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def validate_initial_point(point: PhasePoint, functions: Sequence[PPoly],

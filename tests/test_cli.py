@@ -319,3 +319,38 @@ def test_output_independent_of_hash_seed():
     for args in (["build", "--model", "ttw", "--m", "2", "--n", "1"],
                  ["verify", "--model", "ttw", "--m", "1", "--n", "1", "--samples", "30"]):
         assert _cli_stdout(args, 0) == _cli_stdout(args, 2718281828)
+
+
+# -- --out files ----------------------------------------------------------------
+
+BUILD11 = ["build", "--model", "ttw", "--m", "1", "--n", "1"]
+SIM_SHORT = ["simulate", "--model", "harmonic", "--param", "L0=1/2", "--t-final", "3",
+             "--stride", "40", "--x0", "q=1.0,u=0.5,p_q=0.0,p_u=0.0"]
+
+
+def test_unusable_out_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    """A missing parent directory, or a directory where an output file goes,
+    is a configuration error that names the path; simulate refuses it before
+    integrating, and build before building."""
+    from hamext import cli, dynamics
+    calls = []
+
+    def never(*args):
+        calls.append(args)
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    monkeypatch.setattr(dynamics, "integrate_adaptive", never)
+    missing = tmp_path / "missing" / "x"
+    (tmp_path / "run.drift.json").mkdir()
+    cases = [
+        (BUILD11 + ["--out", str(missing)], str(missing.parent)),
+        (BUILD11 + ["--out", str(tmp_path)], str(tmp_path)),
+        (SIM_SHORT + ["--out", str(missing)], str(missing.parent)),
+        (SIM_SHORT + ["--out", str(tmp_path / "run")], str(tmp_path / "run.drift.json")),
+    ]
+    for argv, named in cases:
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out ") and named in err
+    assert calls == []

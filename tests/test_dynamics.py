@@ -203,3 +203,80 @@ def test_config_validation(line_space):
         for name in ("rtol", "atol"):
             with pytest.raises(ValueError, match="tolerances must be positive and finite"):
                 TrajectoryConfig(initial=pt, t_final=1.0, **{name: bad})
+
+
+# -- solver rows as Python floats --------------------------------------------
+
+def _old_write_trajectory(path, traj, invariants=None):
+    """Oracle: the row-by-row writer that formatted numpy scalars."""
+    names = list(traj.space.coordinate_names)
+    inv_names = sorted(invariants) if invariants else []
+    with open(path, "w") as fh:
+        fh.write("\t".join(["t"] + names + inv_names) + "\n")
+        for i, t in enumerate(traj.t):
+            row = [f"{t:.16e}"] + [f"{v:.16e}" for v in traj.y[i]]
+            row += [f"{invariants[k][i]:.16e}" for k in inv_names]
+            fh.write("\t".join(row) + "\n")
+
+
+#: values whose text is easy to get wrong: signed zero, non-finite, subnormal,
+#: the extremes of the double range and values with 17 significant digits
+AWKWARD = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+           1.7976931348623157e308, -1e300, 1e-17, 1 / 3, -123456789.12345679]
+
+
+def test_write_trajectory_matches_the_row_by_row_writer(tmp_path, line_space):
+    rng = np.random.default_rng(11)
+    n = len(AWKWARD)
+    t = np.array(AWKWARD)
+    y = np.column_stack([np.array(AWKWARD[::-1]), rng.standard_normal(n) * 1e5])
+    invariants = {"K": rng.permutation(np.array(AWKWARD)), "H": rng.standard_normal(n)}
+    cases = [
+        (Trajectory(space=line_space, t=t, y=y, success=True, message="", nfev=0),
+         invariants),
+        (Trajectory(space=line_space, t=t[:3], y=y[:3], success=True, message="",
+                    nfev=0), None),
+        (Trajectory(space=line_space, t=np.array([]), y=np.empty((0, 2)),
+                    success=False, message="no step", nfev=0),
+         {"H": np.array([])}),
+    ]
+    for traj, invs in cases:
+        want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+        _old_write_trajectory(str(want), traj, invs)
+        write_trajectory(str(got), traj, invs)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_field_takes_arrays_and_lists_bitwise(ttw11, ttw_params):
+    """The field reads ndarray rows as Python floats: bitwise the values of
+    calling the compiled function on the numpy scalars, and of a list."""
+    H = ttw11.Hbar
+    names = H.space.position_names
+    comps = [H.d_momentum(n) for n in names] + [-H.d_position(n) for n in names]
+    fn = H.space.compile(comps, ttw_params, guard=0.0)
+    field = hamiltons_equations(H, ttw_params)
+    rng = np.random.default_rng(5)
+    for y in rng.uniform(0.2, 1.3, size=(40, 4)):
+        got = field(0.0, y)
+        assert all(type(v) is float for v in got)
+        want = [v.hex() for v in fn(*y)]
+        assert [v.hex() for v in got] == want
+        assert [v.hex() for v in field(0.0, y.tolist())] == want
+
+
+def test_invariant_values_match_the_per_row_loop(ttw11, ttw_params):
+    H, K = ttw11.Hbar, ttw11.Kbar.poly
+    pt = PhasePoint.make(H.space, {"q": 0.7, "u": 0.9, "p_q": 0.3, "p_u": -0.4})
+    cfg = TrajectoryConfig(initial=pt, t_final=3.0, stride=50, params=ttw_params)
+    traj = integrate_adaptive(cfg, hamiltons_equations(H, ttw_params))
+    invs = {"K": K, "H": H}
+    # oracle: the loop over ndarray rows, one column gathered at a time
+    fn = H.space.compile(list(invs.values()), ttw_params, guard=0.0)
+    rows = [fn(*row) for row in traj.y]
+    want = {name: np.array([row[i] for row in rows], dtype=float)
+            for i, name in enumerate(invs)}
+    got = invariant_values(traj, invs, ttw_params)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert got[name].tobytes() == want[name].tobytes()
