@@ -36,7 +36,7 @@ def main() -> int:
     for exp in range(6, 13):
         tol = 10.0 ** -exp
         cfg = TrajectoryConfig(initial=point, t_final=args.t_final,
-                               rtol=tol, atol=tol, params=PARAMS)
+                               rtol=tol, atol=tol)
         t0 = time.monotonic()
         traj = integrate_adaptive(cfg, field)
         drift = monitor_invariants(traj, invariant_values(traj, invs, PARAMS))

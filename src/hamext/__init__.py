@@ -8,11 +8,10 @@ from .phase import (PhasePoint, PhaseSpace, PhaseSpaceMismatch, PPoly,
 from .extension import (ExtensionProfile, CompatibilityReport,
                         LinearSeedFamily, ModifiedK, SeedConditionError,
                         SeedSolution, build_extended_H, build_K,
-                        build_modified_H, build_modified_K, check_e2_system,
+                        build_modified_K, check_e2_system,
                         check_compatibility_conditions, check_seed, closed_form_PD,
                         expand_modified_K, make_extension_space, make_profile,
-                        recursion_Gn, solve_linear_seed, tagged_trig,
-                        modified_coupling_functions)
+                        recursion_Gn, solve_linear_seed, modified_coupling_functions)
 from .models import (CATALOG, ModelSpec, cage_model, coincidence_pair,
                      extend_model, golden_K21, harmonic_model,
                      polar_cartesian_map, ttw_model)
@@ -27,10 +26,10 @@ __all__ = [
     "apply_U", "apply_W", "apply_XL", "confinement", "poisson_bracket",
     "ExtensionProfile", "CompatibilityReport", "LinearSeedFamily",
     "ModifiedK", "SeedConditionError", "SeedSolution",
-    "build_extended_H", "build_K", "build_modified_H", "build_modified_K",
+    "build_extended_H", "build_K", "build_modified_K",
     "check_e2_system", "check_compatibility_conditions", "check_seed",
     "closed_form_PD", "expand_modified_K", "make_extension_space",
-    "make_profile", "recursion_Gn", "solve_linear_seed", "tagged_trig",
+    "make_profile", "recursion_Gn", "solve_linear_seed",
     "modified_coupling_functions",
     "CATALOG", "ModelSpec", "cage_model", "coincidence_pair", "extend_model",
     "golden_K21",

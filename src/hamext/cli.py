@@ -17,12 +17,13 @@ the integrator).
 An --out that cannot be written is refused before any work is done.
 
 Exit codes: 0 success, 1 configuration error, 2 seed-condition failure,
-3 failed claim, 4 integration abort.
+3 failed claim, 4 integration abort, 5 output error (a failed write).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -44,10 +45,15 @@ EXIT_CONFIG = 1
 EXIT_SEED = 2
 EXIT_CLAIM = 3
 EXIT_INTEGRATION = 4
+EXIT_OUTPUT = 5
 
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(Exception):
+    """An --out file could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,11 +123,11 @@ def _json_type_ok(hint, value) -> bool:
     return type(value) in ((int, float) if hint is float else (hint,))
 
 
-def _rat(text: str) -> Q:
+def _rat(text: str, what: str = "") -> Q:
     try:
         return Q(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"expected a rational number, got {text!r}: {exc}")
+        raise ConfigError(f"{what}expected a rational number, got {text!r}: {exc}")
 
 
 def _sym_or_rat(text: Optional[str], default_param: str) -> ParamPoly:
@@ -139,6 +145,7 @@ def _parse_params(items: Sequence[str]) -> Dict[str, str]:
         name, _, value = item.partition("=")
         if name not in PARAMS:
             raise ConfigError(f"unknown parameter {name!r}; alphabet is {PARAMS}")
+        _rat(value, f"--param {name}: ")
         out[name] = value
     return out
 
@@ -338,9 +345,17 @@ def numeric_params(cfg: JobConfig, model: ModelSpec) -> Dict[str, float]:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -429,17 +444,16 @@ def cmd_simulate(cfg: JobConfig) -> int:
         raise ConfigError(str(exc))
     tol = cfg.tol if cfg.tol is not None else 1e-10
     traj_cfg = dynamics.TrajectoryConfig(initial=point, t_final=cfg.t_final,
-                                         rtol=tol, atol=tol, stride=cfg.stride,
-                                         params=params)
+                                         rtol=tol, atol=tol, stride=cfg.stride)
     field = dynamics.hamiltons_equations(model.Hbar, params)
     traj = dynamics.integrate_adaptive(traj_cfg, field)
     values = dynamics.invariant_values(traj, invariants, params)
     drift = dynamics.monitor_invariants(traj, values)
     doc = json.dumps(drift.to_dict(), indent=2, sort_keys=True) + "\n"
     if cfg.out:
-        dynamics.write_trajectory(cfg.out + ".traj.tsv", traj, values)
-        with open(cfg.out + ".drift.json", "w") as fh:
-            fh.write(doc)
+        with _writing(cfg.out + ".traj.tsv"):
+            dynamics.write_trajectory(cfg.out + ".traj.tsv", traj, values)
+        _emit(doc, cfg.out + ".drift.json")
     sys.stdout.write(doc)
     if not traj.success:
         sys.stderr.write(f"integration aborted: {drift.message}\n")
@@ -500,6 +514,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SeedConditionError as exc:
         sys.stderr.write(f"seed condition failed:\n{exc}\n")
         return EXIT_SEED
+    except OutputError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
+        return EXIT_OUTPUT
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -315,9 +315,6 @@ class Poly:
         # products of nonzero coefficients are nonzero, at distinct monomials
         return Poly(self.sys, {m: c * pp for m, c in self.terms.items()})
 
-    def scale_q(self, q: Q) -> "Poly":
-        return self._scaled(q.numerator, q.denominator)
-
     def _scaled(self, n: int, d: int) -> "Poly":
         """self * n/d for coprime ints n != 0 and d > 0."""
         if n == d:
@@ -607,10 +604,10 @@ class CanonicalCoeff:
 
         den = list(den_mono)
         fac_acc: Dict[Poly, int] = {}
-        num_scale = QONE
+        inv_scale = QONE  # product of (1/lead)**mult over the monic-made factors
 
         def push_factor(f: Poly, mult: int):
-            nonlocal num_scale, den
+            nonlocal inv_scale, den
             if mult <= 0:
                 return
             cont = f.content()
@@ -621,8 +618,9 @@ class CanonicalCoeff:
             _, lead_pp = f.leading()
             _, lead_q = lead_pp.leading()
             if lead_q != 1:
-                f = f.scale_q(QONE / lead_q)
-                num_scale = num_scale * lead_q ** mult
+                q = QONE / lead_q
+                f = f._scaled(q.numerator, q.denominator)
+                inv_scale = inv_scale * q ** mult
             if len(f.terms) == 1 and f.terms.get(sys.unit_mono, None) is not None:
                 if f.terms[sys.unit_mono].is_one:
                     return  # pure unit after normalization
@@ -648,8 +646,8 @@ class CanonicalCoeff:
                                   tuple(smono): ParamPoly.scalar(-v.tag)})
                 push_factor(pyth, k)
 
-        if num_scale != 1:
-            num = num.scale_q(QONE / num_scale)
+        if inv_scale != 1:
+            num = num._scaled(inv_scale.numerator, inv_scale.denominator)
 
         # Cancel the factors that divide the numerator.  A Pythagorean
         # factor (a C^2 of the denominator) stays until compact(): the
@@ -906,32 +904,6 @@ class CanonicalCoeff:
             if k:
                 remaining.append((f, k))
         return self._normalize(self.sys, num, self.den_mono, tuple(remaining))
-
-    def embed(self, big: VarSystem) -> "CanonicalCoeff":
-        """Reinterpret over a larger variable system containing the same vars."""
-        if big == self.sys:
-            return self
-        mapping = []
-        for v in self.sys.vars:
-            if v.name not in big or big.var(v.name) != v:
-                raise ValueError(f"target system lacks variable {v!r}")
-            mapping.append((self.sys.offset(v.name), big.offset(v.name), v.slots))
-
-        def conv(m: Mono) -> Mono:
-            out = [0] * big.width
-            for so, to, k in mapping:
-                for i in range(k):
-                    out[to + i] = m[so + i]
-            return tuple(out)
-
-        num = Poly(big, {conv(m): pp for m, pp in self.num.terms.items()})
-        fac = tuple(
-            (Poly(big, {conv(m): pp for m, pp in f.terms.items()}), k)
-            for f, k in self.den_factors
-        )
-        # the layout of big may rank the monomials differently, so the
-        # factors are normalized and sorted again
-        return self._normalize(big, num, conv(self.den_mono), fac)
 
     def sort_key(self):
         return (self.num.sort_key(), self.den_mono,

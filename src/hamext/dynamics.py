@@ -21,7 +21,7 @@ one ``%.16e`` format per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -91,7 +91,6 @@ class TrajectoryConfig:
     rtol: float = 1e-10
     atol: float = 1e-10
     stride: int = 200                     # number of output samples
-    params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         # NaN and inf pass a "<= 0" test, and the solver then never ends

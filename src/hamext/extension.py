@@ -1,10 +1,11 @@
 """Constructive machinery for extensions of Hamiltonian systems.
 
 Covers the profile functions (alpha, beta, gamma) in both columns and all
-three exact tags, the tagged trigonometric functions, the degree-raising
-recursion, the plain and frequency-modified first-integral builders with
-their closed forms, the compatibility-condition checker, the linear seed
-families, and the residual system for polynomial seeds of general degree.
+three exact tags (the tagged functions are ``VarSystem.S/C/T``), the
+degree-raising recursion, the plain and frequency-modified first-integral
+builders with their closed forms, the compatibility-condition checker, the
+linear seed families, and the residual system for polynomial seeds of
+general degree.
 """
 
 from __future__ import annotations
@@ -29,55 +30,6 @@ class SeedConditionError(ValueError):
             "seed identity X_L^2(G) + 2(c*L + L0)*G is not zero; residual: "
             + residual.render()
         )
-
-
-# ---------------------------------------------------------------------------
-# tagged trigonometric functions
-
-
-def tagged_trig(kind: str, kappa, x):
-    """S/C/T tagged function, numeric for any real tag, symbolic for {1,0,-1}.
-
-    Numeric mode: ``x`` is a number and ``kappa`` any real.  Symbolic mode:
-    ``x`` is a (VarSystem, name) handle whose variable kind must match the
-    tag.
-    """
-    if kind not in ("S", "C", "T"):
-        raise ValueError("kind must be one of 'S', 'C', 'T'")
-    if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], VarSystem):
-        sys, name = x
-        if kappa not in EXACT_TAGS:
-            raise ValueError("symbolic tagged functions require kappa in {1, 0, -1}")
-        v = sys.var(name)
-        want = Var.tagged(name, kappa) if kappa else Var.linear(name)
-        if v != want:
-            raise ValueError(
-                f"variable {name!r} has kind {v.kind} (tag {v.tag}); "
-                f"tag {kappa} requested"
-            )
-        if kind == "S":
-            return sys.S(name)
-        if kind == "C":
-            return sys.C(name)
-        return sys.T(name)
-
-    kappa = float(kappa)
-    x = float(x)
-    if kappa > 0:
-        r = math.sqrt(kappa)
-        s, c = math.sin(r * x) / r, math.cos(r * x)
-    elif kappa < 0:
-        r = math.sqrt(-kappa)
-        s, c = math.sinh(r * x) / r, math.cosh(r * x)
-    else:
-        s, c = x, 1.0
-    if kind == "S":
-        return s
-    if kind == "C":
-        return c
-    if c == 0.0:
-        raise ZeroDivisionError("T is singular where C vanishes")
-    return s / c
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +206,6 @@ def build_extended_H(profile: ExtensionProfile, L: PPoly) -> PPoly:
     factor = Q(profile.m * profile.m, profile.n * profile.n)
     return (p_u * p_u * Q(1, 2)
             + (space.lift(profile.alpha) * L + space.lift(profile.beta)) * factor)
-
-
-def build_modified_H(profile: ExtensionProfile, L: PPoly) -> PPoly:
-    """Extended Hamiltonian plus the omega/gamma^2 confinement term."""
-    return build_extended_H(profile, L) + profile.space.lift(confinement(profile))
 
 
 def build_K(profile: ExtensionProfile, seed: SeedSolution) -> PPoly:

@@ -362,7 +362,7 @@ class ParamPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.sorted_items())
+            self._hash = hash((self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __str__(self):

@@ -312,19 +312,6 @@ class PPoly:
                 acc[pe] = s
         return PPoly(self.space, acc)
 
-    def embed(self, space: PhaseSpace) -> "PPoly":
-        """Reinterpret on a larger phase space containing the same variables."""
-        if space == self.space:
-            return self
-        idx = [space.momentum_index(v.name) for v in self.space.system.vars]
-        acc: Dict[PExp, CanonicalCoeff] = {}
-        for pe, c in self.terms.items():
-            out = [0] * space.dim
-            for i, e in zip(idx, pe):
-                out[i] = e
-            acc[tuple(out)] = c.embed(space.system)
-        return PPoly(space, acc)
-
     def sorted_items(self):
         return tuple(sorted(self.terms.items(), key=lambda kv: _pexp_key(kv[0]), reverse=True))
 

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
-                        EXIT_SEED, main, make_config)
+                        EXIT_OUTPUT, EXIT_SEED, main, make_config)
 from hamext.models import CATALOG
 from hamext.verify import MIN_SAMPLES
 
@@ -354,3 +356,48 @@ def test_unusable_out_refused_before_the_work(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("config error: --out ") and named in err
     assert calls == []
+
+
+def test_param_value_refused_before_the_model_is_built(tmp_path, capsys, monkeypatch):
+    """A --param value that is not a rational number is a configuration error
+    naming the parameter, as a flag or in a --config file, and no model is
+    built; ``omega=1/0`` used to end in a ZeroDivisionError traceback."""
+    from hamext import cli
+
+    def never(*args):
+        raise AssertionError("the model was built before --param was checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    for value in ("1/0", "abc", "nan"):
+        assert run(["verify", "--model", "ttw", "--param", f"omega={value}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --param omega: expected a rational number, "
+                              f"got {value!r}")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"param": {"alpha1": "3/0"}}))
+    assert run(["simulate", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --param alpha1: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_is_an_output_error(tmp_path, capsys):
+    """A write of an --out file that fails (here: no space left on the
+    device) prints one line naming the file and exits with EXIT_OUTPUT."""
+    assert run(BUILD11 + ["--out", "/dev/full"]) == EXIT_OUTPUT
+    assert capsys.readouterr().err == ("output error: cannot write /dev/full: "
+                                       "[Errno 28] No space left on device\n")
+    for suffix in (".traj.tsv", ".drift.json"):
+        out = tmp_path / suffix.strip(".")
+        Path(str(out) + suffix).symlink_to("/dev/full")
+        assert run(SIM_SHORT + ["--out", str(out)]) == EXIT_OUTPUT
+        assert capsys.readouterr().err == (f"output error: cannot write {out}{suffix}: "
+                                           "[Errno 28] No space left on device\n")
+    # the whole process: one line, and no second report of the failed flush
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "hamext", *BUILD11,
+                           "--out", "/dev/full"], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == EXIT_OUTPUT
+    assert proc.stderr == ("output error: cannot write /dev/full: "
+                           "[Errno 28] No space left on device\n")

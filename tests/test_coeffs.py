@@ -159,23 +159,6 @@ def test_undecided_division_raises(sysv, monkeypatch):
         (num / (f * f)).constant_part()
 
 
-def test_embed(sysv):
-    small = VarSystem([Var.circular("q")])
-    big = sysv
-    v = small.S("q") / small.C("q")
-    w = v.embed(big)
-    assert (w - big.S("q") / big.C("q")).is_zero
-    with pytest.raises(ValueError):
-        VarSystem([Var.linear("z")]).coord("z").embed(big)
-    # a layout that ranks the monomials differently gives the factor
-    # another leading term: the embedded value is stored normalized
-    uv = VarSystem([Var.linear("u"), Var.linear("v")])
-    vu = VarSystem([Var.linear("v"), Var.linear("u")])
-    w = (uv.one() / (uv.coord("u") * 2 + uv.coord("v"))).embed(vu)
-    assert w == vu.one() / (vu.coord("u") * 2 + vu.coord("v"))
-    assert w.render() == "1/(v + 2*u)"
-
-
 def test_rate_and_tag_generators():
     # S' = rate*C and C' = -tag*rate*S for a tagged pair with rate 3/2
     sy = VarSystem([Var.tagged("v", tag=Q(1), rate=Q(3, 2))])

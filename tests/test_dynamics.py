@@ -66,7 +66,7 @@ def test_field_and_invariants_match_each_function(ttw11, ttw_params):
     alone = [compile_ppoly(F, ttw_params) for F in comps]
     field = hamiltons_equations(H, ttw_params)
     pt = PhasePoint.make(H.space, {"q": 0.7, "u": 0.9, "p_q": 0.3, "p_u": -0.4})
-    cfg = TrajectoryConfig(initial=pt, t_final=0.5, stride=4, params=ttw_params)
+    cfg = TrajectoryConfig(initial=pt, t_final=0.5, stride=4)
     traj = integrate_adaptive(cfg, field)
     for y in traj.y:
         assert [v.hex() for v in field(0.0, y)] == [fn(y).hex() for fn in alone]
@@ -126,8 +126,7 @@ def test_reversibility(line_space):
 def test_drift_and_negative_control(ttw_params):
     mdl = ttw_model(2, 1)
     pt = PhasePoint.make(mdl.space, {"q": 0.8, "u": 0.9, "p_q": 0.3, "p_u": -0.2})
-    cfg = TrajectoryConfig(initial=pt, t_final=20.0, rtol=1e-12, atol=1e-12,
-                           params=ttw_params)
+    cfg = TrajectoryConfig(initial=pt, t_final=20.0, rtol=1e-12, atol=1e-12)
     traj = integrate_adaptive(cfg, hamiltons_equations(mdl.Hbar, ttw_params))
     assert traj.success
     invs = {"H": mdl.Hbar, "K": mdl.Kbar.poly, "L": mdl.L,
@@ -144,8 +143,7 @@ def test_tolerance_halving_monotonicity(ttw_params):
     pt = PhasePoint.make(mdl.space, {"q": 0.8, "u": 0.9, "p_q": 0.3, "p_u": -0.2})
     drifts = []
     for tol in (1e-8, 5e-9):
-        cfg = TrajectoryConfig(initial=pt, t_final=20.0, rtol=tol, atol=tol,
-                               params=ttw_params)
+        cfg = TrajectoryConfig(initial=pt, t_final=20.0, rtol=tol, atol=tol)
         traj = integrate_adaptive(cfg, hamiltons_equations(mdl.Hbar, ttw_params))
         values = invariant_values(traj, {"H": mdl.Hbar}, ttw_params)
         drifts.append(monitor_invariants(traj, values).drift("H"))
@@ -267,7 +265,7 @@ def test_field_takes_arrays_and_lists_bitwise(ttw11, ttw_params):
 def test_invariant_values_match_the_per_row_loop(ttw11, ttw_params):
     H, K = ttw11.Hbar, ttw11.Kbar.poly
     pt = PhasePoint.make(H.space, {"q": 0.7, "u": 0.9, "p_q": 0.3, "p_u": -0.4})
-    cfg = TrajectoryConfig(initial=pt, t_final=3.0, stride=50, params=ttw_params)
+    cfg = TrajectoryConfig(initial=pt, t_final=3.0, stride=50)
     traj = integrate_adaptive(cfg, hamiltons_equations(H, ttw_params))
     invs = {"K": K, "H": H}
     # oracle: the loop over ndarray rows, one column gathered at a time

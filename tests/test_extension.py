@@ -1,44 +1,15 @@
 import math
 
-import mpmath
 import pytest
 
 from hamext import (ParamPoly, PhaseSpace, Q, Var, VarSystem, apply_U,
-                    apply_XL, build_extended_H, build_K, build_modified_H,
-                    build_modified_K, cage_model, check_e2_system,
-                    check_compatibility_conditions, check_seed, closed_form_PD,
-                    expand_modified_K, harmonic_model, make_extension_space,
-                    make_profile, poisson_bracket, recursion_Gn,
-                    solve_linear_seed, tagged_trig, modified_coupling_functions,
-                    ttw_model, SeedSolution, SeedConditionError)
-
-
-# -- tagged trigonometric functions -------------------------------------------
-
-def test_tagged_trig_numeric():
-    assert tagged_trig("S", 0, 3.0) == 3.0
-    assert tagged_trig("C", 0, 3.0) == 1.0
-    assert tagged_trig("S", 1, math.pi / 2) == pytest.approx(1.0)
-    assert tagged_trig("C", 1, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-    # S_{-4}(1) = sinh(2)/2, checked against an independent evaluation
-    want = float(mpmath.sinh(2) / 2)
-    assert tagged_trig("S", -4, 1.0) == pytest.approx(want, rel=1e-15)
-    assert tagged_trig("T", 1, 0.3) == pytest.approx(math.tan(0.3))
-    with pytest.raises(ValueError):
-        tagged_trig("X", 1, 0.3)
-
-
-def test_tagged_trig_symbolic():
-    sysv = VarSystem([Var.circular("q"), Var.linear("u")])
-    S = tagged_trig("S", 1, (sysv, "q"))
-    assert (S - sysv.S("q")).is_zero
-    assert (tagged_trig("T", 1, (sysv, "q")) - sysv.S("q") / sysv.C("q")).is_zero
-    lin = tagged_trig("S", 0, (sysv, "u"))
-    assert (lin - sysv.coord("u")).is_zero
-    with pytest.raises(ValueError):
-        tagged_trig("S", -1, (sysv, "q"))  # kind mismatch
-    with pytest.raises(ValueError):
-        tagged_trig("S", 2, (sysv, "q"))  # outside exact tags
+                    apply_XL, build_extended_H, build_K, build_modified_K,
+                    cage_model, check_e2_system, check_compatibility_conditions,
+                    check_seed, closed_form_PD, confinement, expand_modified_K,
+                    harmonic_model, make_extension_space, make_profile,
+                    poisson_bracket, recursion_Gn, solve_linear_seed,
+                    modified_coupling_functions, ttw_model, SeedSolution,
+                    SeedConditionError)
 
 
 # -- profiles -----------------------------------------------------------------
@@ -254,7 +225,7 @@ def test_build_modified_H_variants():
     space = make_extension_space([Var.circular("q")], c=1, kappa=0)
     L, G = _ttw_base(space)
     prof = make_profile(space, 2, 1, c=1, L0=0, kappa=0, omega=0)
-    assert (build_modified_H(prof, L) - build_extended_H(prof, L)).is_zero
+    assert confinement(prof).is_zero
 
 
 def test_build_modified_K_dispatch():
@@ -323,7 +294,7 @@ def test_modified_commutation_tagged_extension():
         seed = SeedSolution.certify(L, G, 1, 0)
         prof = make_profile(space, 2, 1, c=1, L0=0, kappa=kappa,
                             omega=ParamPoly.var("omega"))
-        H = build_modified_H(prof, L)
+        H = build_extended_H(prof, L) + space.lift(confinement(prof))
         K = build_modified_K(prof, seed).poly
         assert poisson_bracket(H, K).is_zero, kappa
 

@@ -35,7 +35,7 @@ def _returns(model, H, params, period, multiples):
     point = _initial_point(JobConfig(command="simulate"), model)
     last = max(multiples)
     cfg = TrajectoryConfig(initial=point, t_final=last * period, rtol=TOL, atol=TOL,
-                           stride=last + 1, params=params)
+                           stride=last + 1)
     traj = integrate_adaptive(cfg, hamiltons_equations(H, params))
     assert traj.success, traj.message
     y0 = np.array(point.values)
