@@ -8,11 +8,12 @@ Commands
     catalog      list built-in models with their parameter schemas
     solve-linear classify a linear seed family and certify its residuals
 
---samples, --precision, --seed and --inject-defect are verify's alone;
-build and simulate refuse them, as flags or in a --config file.  Each
-command loads only the numeric stack it uses: build neither numpy nor
-scipy, verify numpy (for its rank check), simulate numpy and scipy (for
-the integrator).
+OPTIONS declares each command's options once, with types and defaults:
+each is a flag and, for build, verify and simulate, a --config key.  Every
+other option is refused by name, as are the inline model's options and a
+schema-less --A on a catalog model.  Each command loads only the numeric
+stack it uses: build neither numpy nor scipy, verify numpy (for its rank
+check), simulate numpy and scipy (for the integrator).
 
 An --out that cannot be written is refused before any work is done.
 
@@ -28,9 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence
 
 from .coeffs import Var
 from .exprparse import ExpressionError, parse_coeff
@@ -63,69 +62,60 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class JobConfig:
-    """Validated invocation; one job per process."""
+# Each command's options: name -> (type, default[, argparse keywords]).  The
+# flag is --name with "_" spelled "-".  A --config value is null only where
+# the default is None ("not given").  ``param`` collects NAME=VALUE entries,
+# which a --config file may also give as a mapping.
+_MODEL = {
+    "model": (str, "ttw", {"help": "catalog name (ttw, cage, harmonic) or 'inline'"}),
+    "m": (int, 1),
+    "n": (int, 1),
+    "omega": (str, None, {"help": "rational value or 'sym' for the symbol"}),
+    "kappa": (int, 0, {"choices": (-1, 0, 1)}),
+    "c": (str, "1"),
+    "L0": (str, "0"),
+    "A": (str, "1"),
+    "V": (str, None, {"help": "inline base potential"}),
+    "eta": (str, None, {"help": "inline seed coefficient of p"}),
+    "out": (str, None),
+}
+_NUMERIC = {
+    "param": (list, (), {"metavar": "NAME=VALUE", "help": "numeric parameter value"}),
+    "tol": (float, None),
+}
+OPTIONS: Dict[str, Dict[str, tuple]] = {
+    "build": _MODEL,
+    "verify": {**_MODEL, **_NUMERIC, "samples": (int, 100), "precision": (int, 50),
+               "seed": (int, 20240901),
+               "inject_defect": (str, None, {"choices": ("omega-shift",), "help":
+                                             "test-only tampering of the first integral"})},
+    "simulate": {**_MODEL, **_NUMERIC, "t_final": (float, 100.0), "stride": (int, 200),
+                 "x0": (str, None, {"help": "comma list like q=0.6,u=0.9,p_q=0.4,p_u=-0.3"})},
+    "catalog": {},
+    "solve-linear": {"c": (str, "1"), "a1": (str, "1"), "a2": (str, "0"), "c1": (str, "sym"),
+                     "c2": (str, "sym"), "L0": (str, "sym"), "out": (str, None)},
+}
 
-    command: str
-    model: str = "ttw"
-    m: int = 1
-    n: int = 1
-    omega: Optional[str] = None
-    kappa: int = 0
-    c: str = "1"
-    L0: str = "0"
-    A: str = "1"
-    V: Optional[str] = None
-    eta: Optional[str] = None
-    param: Dict[str, str] = field(default_factory=dict)
-    samples: int = 100
-    tol: Optional[float] = None
-    precision: int = 50
-    seed: int = 20240901
-    out: Optional[str] = None
-    inject_defect: Optional[str] = None
-    # solve-linear inputs
-    a1: str = "1"
-    a2: str = "0"
-    c1: Optional[str] = None
-    c2: Optional[str] = None
-    # simulation
-    t_final: float = 100.0
-    stride: int = 200
-    x0: Optional[str] = None
-
-    KNOWN = None  # filled below
-
-
-JobConfig.KNOWN = set(JobConfig.__dataclass_fields__)
-
-#: Fields that only the inline model reads; catalog models refuse them.
+#: Options that only the inline model reads; catalog models refuse them.
 INLINE_ONLY = ("V", "eta", "L0", "c", "kappa")
-#: Fields that only verify reads; build and simulate refuse them.
-VERIFY_ONLY = ("samples", "precision", "seed", "inject_defect")
 
 
-def _json_type_ok(hint, value) -> bool:
-    """Whether a --config value has the type its flag parses to, or is null
-    where the default is None."""
-    args = get_args(hint)
+def _json_type_ok(type_, default, value) -> bool:
+    """Whether a --config value has its flag's type, or is null where the default is."""
     if value is None:
-        return type(None) in args
-    if hint == Dict[str, str]:
+        return default is None
+    if type_ is list:
         # --param: NAME=VALUE strings, or a mapping of names to strings
         if isinstance(value, dict):
             value = [*value, *value.values()]
         return isinstance(value, list) and all(type(v) is str for v in value)
-    if args:  # Optional[X]
-        hint = args[0]
     # a JSON integer is a valid float, but a boolean is not an integer
-    return type(value) in ((int, float) if hint is float else (hint,))
+    return type(value) in ((int, float) if type_ is float else (type_,))
 
 
 def _rat(text: str, what: str = "") -> Q:
     try:
-        return Q(Fraction(text))
+        return Q(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}expected a rational number, got {text!r}: {exc}")
 
@@ -137,16 +127,21 @@ def _sym_or_rat(text: Optional[str], default_param: str) -> ParamPoly:
     return ParamPoly.scalar(_rat(text))
 
 
-def _parse_params(items: Sequence[str]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for item in items or ():
+def _parse_params(items) -> Dict[str, float]:
+    """--param entries (or a --config mapping) as evaluation values, each a finite float."""
+    if isinstance(items, dict):
+        items = [f"{k}={v}" for k, v in items.items()]
+    out: Dict[str, float] = {}
+    for item in items:
         if "=" not in item:
             raise ConfigError(f"--param expects name=value, got {item!r}")
         name, _, value = item.partition("=")
         if name not in PARAMS:
             raise ConfigError(f"unknown parameter {name!r}; alphabet is {PARAMS}")
-        _rat(value, f"--param {name}: ")
-        out[name] = value
+        try:
+            out[name] = float(_rat(value, f"--param {name}: "))
+        except OverflowError:
+            raise ConfigError(f"--param {name}: {value!r} is too large for a float") from None
     return out
 
 
@@ -154,114 +149,91 @@ def build_arg_parser() -> _Parser:
     ap = _Parser(prog="hamext", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        # defaults live on JobConfig; None here means "not given", so JSON
-        # config values are not shadowed by parser defaults
-        p.add_argument("--model", default=None,
-                       help="catalog name (ttw, cage, harmonic) or 'inline'")
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--omega", default=None,
-                       help="rational value or 'sym' for the symbol")
-        p.add_argument("--kappa", type=int, default=None, choices=(-1, 0, 1))
-        p.add_argument("--c", default=None)
-        p.add_argument("--L0", default=None)
-        p.add_argument("--A", default=None)
-        p.add_argument("--V", default=None, help="inline base potential")
-        p.add_argument("--eta", default=None, help="inline seed coefficient of p")
-        p.add_argument("--param", action="append", default=[],
-                       metavar="NAME=VALUE", help="numeric parameter value")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON file with the same keys as the flags")
-
-    common(sub.add_parser("build"))
-    ver = sub.add_parser("verify")
-    common(ver)
-    ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--precision", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--inject-defect", dest="inject_defect", default=None,
-                     choices=("omega-shift",),
-                     help="test-only tampering of the first integral")
-    sim = sub.add_parser("simulate")
-    common(sim)
-    sim.add_argument("--t-final", dest="t_final", type=float, default=None)
-    sim.add_argument("--stride", type=int, default=None)
-    sim.add_argument("--x0", default=None,
-                     help="comma list like q=0.6,u=0.9,p_q=0.4,p_u=-0.3")
-    sub.add_parser("catalog")
-    sol = sub.add_parser("solve-linear")
-    sol.add_argument("--c", default="1")
-    sol.add_argument("--a1", default="1")
-    sol.add_argument("--a2", default="0")
-    sol.add_argument("--c1", default="sym")
-    sol.add_argument("--c2", default="sym")
-    sol.add_argument("--L0", default="sym")
-    sol.add_argument("--out", default=None)
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command)
+        # every flag defaults to None, "not given", so that a --config value
+        # is not shadowed; make_config fills in the defaults of OPTIONS
+        for name, (type_, _, *kw) in options.items():
+            how = {"action": "append"} if type_ is list else {"type": type_}
+            p.add_argument("--" + name.replace("_", "-"), **how, **(kw[0] if kw else {}))
+        if "model" in options:
+            p.add_argument("--config", help="JSON file with the same keys as the flags")
     return ap
 
 
-def _flags(fields: Sequence[str]) -> str:
-    return ", ".join("--" + k.replace("_", "-") for k in fields)
+def _flags(names: Sequence[str]) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in names)
 
 
-def make_config(argv: Sequence[str]) -> JobConfig:
-    ap = build_arg_parser()
-    ns = ap.parse_args(argv)
-    data = {k: v for k, v in vars(ns).items() if v is not None}
-    if not data.get("param"):
-        data.pop("param", None)
-    cfg_path = data.pop("config", None)
-    if cfg_path:
-        try:
-            with open(cfg_path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {cfg_path!r}: {exc}")
-        unknown = set(loaded) - JobConfig.KNOWN
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        hints = get_type_hints(JobConfig)
-        for k, v in loaded.items():
-            if not _json_type_ok(hints[k], v):
-                raise ConfigError(f"config field {k!r} has the wrong type: {v!r}")
-            data.setdefault(k, v)
-    if isinstance(data.get("param"), dict):
-        data["param"] = [f"{k}={v}" for k, v in data["param"].items()]
-    if "param" in data:
-        data["param"] = _parse_params(data["param"])
-    data = {k: v for k, v in data.items() if k in JobConfig.KNOWN}
-    model = data.get("model", JobConfig.model)
-    given = [k for k in INLINE_ONLY if k in data]
-    if data["command"] in ("build", "verify", "simulate") and model in CATALOG and given:
-        raise ConfigError(f"{_flags(given)}: only --model inline reads these; the catalog "
-                          f"model {model!r} takes --m, --n, --omega and its parameters")
-    # the parsers of build and simulate lack these flags, so only a
-    # --config file can bring them here
-    given = [k for k in VERIFY_ONLY if k in data]
-    if data["command"] in ("build", "simulate") and given:
-        raise ConfigError(f"{_flags(given)}: only verify reads these")
-    cfg = JobConfig(**data)
-    if cfg.m < 1 or cfg.n < 1:
+def _read_config(path: str, command: str) -> dict:
+    """The options of a --config file, each read by ``command`` and of its flag's type."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}")
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config {path!r} holds a JSON {type(loaded).__name__}, "
+                          "not an object of option values")
+    unknown = [k for k in loaded if not any(k in o for o in OPTIONS.values())]
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    readers: Dict[tuple, List[str]] = {}
+    for k in loaded:
+        if k not in OPTIONS[command]:
+            readers.setdefault(tuple(c for c in OPTIONS if k in OPTIONS[c]), []).append(k)
+    if readers:
+        raise ConfigError("; ".join(
+            f"{_flags(names)}: only {' and '.join(cmds)} read{'s' * (len(cmds) == 1)} these"
+            for cmds, names in readers.items()))
+    for k, v in loaded.items():
+        if not _json_type_ok(*OPTIONS[command][k][:2], v):
+            raise ConfigError(f"config field {k!r} has the wrong type: {v!r}")
+    return loaded
+
+
+def make_config(argv: Sequence[str]) -> argparse.Namespace:
+    """The command and exactly its OPTIONS: a flag's value, else the
+    --config file's, else the default."""
+    ns = build_arg_parser().parse_args(argv)
+    command, options = ns.command, OPTIONS[ns.command]
+    data = {k: v for k, v in vars(ns).items() if v is not None and k in options}
+    if getattr(ns, "config", None):
+        data = {**_read_config(ns.config, command), **data}
+    model = data.get("model", _MODEL["model"][1])
+    if "model" in options and model in CATALOG:
+        given = [k for k in INLINE_ONLY if k in data]
+        if given:
+            raise ConfigError(f"{_flags(given)}: only --model inline reads these; the "
+                              f"catalog model {model!r} takes --m, --n, --omega and its "
+                              "parameters")
+        schema = CATALOG[model]["params"]
+        if "A" in data and "A" not in schema:
+            raise ConfigError(f"--A: the catalog model {model!r} has no parameter A; "
+                              f"its parameters are {', '.join(schema)}")
+    cfg = argparse.Namespace(command=command, **{
+        k: data[k] if k in data else default for k, (_, default, *_) in options.items()})
+    if "param" in options:
+        cfg.param = _parse_params(cfg.param)
+    if "m" in options and (cfg.m < 1 or cfg.n < 1):
         raise ConfigError("m and n must be positive integers")
-    for name in ("samples", "precision"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"--{name} must be a positive integer, "
-                              f"got {getattr(cfg, name)}")
-    if cfg.command == "verify" and cfg.samples < MIN_SAMPLES:
-        raise ConfigError(f"--samples {cfg.samples}: a sampled claim needs at least "
-                          f"{MIN_SAMPLES} accepted samples")
-    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
-        raise ConfigError(f"--tol must be positive and finite, got {cfg.tol}")
-    if cfg.out:
+    if command == "verify":
+        for name in ("samples", "precision"):
+            if getattr(cfg, name) < 1:
+                raise ConfigError(f"--{name} must be a positive integer, "
+                                  f"got {getattr(cfg, name)}")
+        if cfg.samples < MIN_SAMPLES:
+            raise ConfigError(f"--samples {cfg.samples}: a sampled claim needs at least "
+                              f"{MIN_SAMPLES} accepted samples")
+    tol = vars(cfg).get("tol")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
+    if vars(cfg).get("out"):
         _check_out(cfg)
     return cfg
 
 
-def _check_out(cfg: JobConfig):
+def _check_out(cfg: argparse.Namespace):
     """Refuse an --out that cannot be written, before the work is done."""
     parent = os.path.dirname(cfg.out) or "."
     if not os.path.isdir(parent):
@@ -277,7 +249,7 @@ def _check_out(cfg: JobConfig):
 # model construction
 
 
-def _inline_model(cfg: JobConfig) -> ModelSpec:
+def _inline_model(cfg: argparse.Namespace) -> ModelSpec:
     if cfg.V is None or cfg.eta is None:
         raise ConfigError("inline models need both --V and --eta")
     c = _rat(cfg.c)
@@ -302,9 +274,10 @@ def _inline_model(cfg: JobConfig) -> ModelSpec:
                         metadata={"V": cfg.V, "eta": cfg.eta})
 
 
-def build_model(cfg: JobConfig) -> ModelSpec:
+def build_model(cfg: argparse.Namespace) -> ModelSpec:
     """The inline model, or the catalog entry's builder; --A goes only to
-    entries whose parameter schema lists A."""
+    entries whose parameter schema lists A (make_config refuses it for the
+    others)."""
     if cfg.model == "inline":
         return _inline_model(cfg)
     entry = CATALOG.get(cfg.model)
@@ -328,15 +301,14 @@ def _occurring_params(*polys: PPoly) -> List[str]:
     return [PARAMS[i] for i in sorted(found)]
 
 
-def numeric_params(cfg: JobConfig, model: ModelSpec) -> Dict[str, float]:
+def numeric_params(cfg: argparse.Namespace, model: ModelSpec) -> Dict[str, float]:
     """Evaluation values: catalog defaults overridden by --param entries.
 
     Every parameter that occurs in H_bar, K_bar or L needs a value; a
     missing one is a configuration error, never a silent zero.
     """
     out = catalog_params(model.name) if model.name in CATALOG else {}
-    for name, value in cfg.param.items():
-        out[name] = float(Fraction(value))
+    out.update(cfg.param)
     missing = [name for name in _occurring_params(model.Hbar, model.Kbar.poly, model.L)
                if name not in out]
     if missing:
@@ -374,7 +346,7 @@ def _tampered_K(model: ModelSpec, defect: Optional[str]) -> Optional[PPoly]:
 # commands
 
 
-def cmd_build(cfg: JobConfig) -> int:
+def cmd_build(cfg: argparse.Namespace) -> int:
     model = build_model(cfg)
     doc = {
         "model": model.describe(),
@@ -386,25 +358,23 @@ def cmd_build(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: JobConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     model = build_model(cfg)
     params = numeric_params(cfg, model)
     settings = VerifySettings(samples=cfg.samples, precision=cfg.precision,
                               rng_seed=cfg.seed, tol=cfg.tol)
-    report = run_model_verification(
-        model, params, settings,
-        K_override=_tampered_K(model, cfg.inject_defect),
-        console=sys.stderr,
-    )
+    report = run_model_verification(model, params, settings, console=sys.stderr,
+                                    K_override=_tampered_K(model, cfg.inject_defect))
     _emit(report.to_document(), cfg.out)
     return EXIT_OK if report.all_ok else EXIT_CLAIM
 
 
-def _initial_point(cfg: JobConfig, model: ModelSpec) -> PhasePoint:
+def _initial_point(x0: Optional[str], model: ModelSpec) -> PhasePoint:
+    """The --x0 point, or without one the default start of simulate."""
     names = model.space.coordinate_names
-    if cfg.x0:
+    if x0:
         coords: Dict[str, float] = {}
-        for item in cfg.x0.split(","):
+        for item in x0.split(","):
             if "=" not in item:
                 raise ConfigError(f"--x0 entries look like q=0.6, got {item!r}")
             k, _, v = item.partition("=")
@@ -421,21 +391,19 @@ def _initial_point(cfg: JobConfig, model: ModelSpec) -> PhasePoint:
         if missing:
             raise ConfigError(f"--x0 missing coordinates {missing}")
         return PhasePoint.make(model.space, coords)
-    coords = {}
-    for i, name in enumerate(model.space.position_names):
-        coords[name] = 0.6 + 0.2 * i
-    for i, name in enumerate(model.space.momentum_names):
-        coords[name] = 0.4 if i % 2 == 0 else -0.3
+    coords = {name: 0.6 + 0.2 * i for i, name in enumerate(model.space.position_names)}
+    coords.update((name, 0.4 if i % 2 == 0 else -0.3)
+                  for i, name in enumerate(model.space.momentum_names))
     return PhasePoint.make(model.space, coords)
 
 
-def cmd_simulate(cfg: JobConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     # the only command that needs scipy: build and verify start without it
     from . import dynamics
 
     model = build_model(cfg)
     params = numeric_params(cfg, model)
-    point = _initial_point(cfg, model)
+    point = _initial_point(cfg.x0, model)
     invariants = {"H_modified": model.Hbar, "K_modified": model.Kbar.poly,
                   "L_base": model.L}
     try:
@@ -461,7 +429,7 @@ def cmd_simulate(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_catalog() -> int:
+def cmd_catalog(cfg: argparse.Namespace) -> int:
     doc = {
         name: {"params": entry["params"], "doc": entry["doc"]}
         for name, entry in sorted(CATALOG.items())
@@ -470,7 +438,7 @@ def cmd_catalog() -> int:
     return EXIT_OK
 
 
-def cmd_solve_linear(cfg: JobConfig) -> int:
+def cmd_solve_linear(cfg: argparse.Namespace) -> int:
     family = solve_linear_seed(
         _rat(cfg.c),
         _sym_or_rat(cfg.a1, "a1"), _sym_or_rat(cfg.a2, "a2"),
@@ -490,34 +458,21 @@ def cmd_solve_linear(cfg: JobConfig) -> int:
     return EXIT_OK if family.certified else EXIT_CLAIM
 
 
+COMMANDS = {"build": cmd_build, "verify": cmd_verify, "simulate": cmd_simulate,
+            "catalog": cmd_catalog, "solve-linear": cmd_solve_linear}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = make_config(list(argv) if argv is not None else sys.argv[1:])
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    try:
-        if cfg.command == "build":
-            return cmd_build(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "simulate":
-            return cmd_simulate(cfg)
-        if cfg.command == "catalog":
-            return cmd_catalog()
-        if cfg.command == "solve-linear":
-            return cmd_solve_linear(cfg)
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
+        return COMMANDS[cfg.command](cfg)
     except SeedConditionError as exc:
         sys.stderr.write(f"seed condition failed:\n{exc}\n")
         return EXIT_SEED
     except OutputError as exc:
         sys.stderr.write(f"output error: {exc}\n")
         return EXIT_OUTPUT
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

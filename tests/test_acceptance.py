@@ -4,11 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 All tolerances are fixed here, not tuned at runtime.
 """
 
-import json
 import random
 import time
-
-import pytest
 
 from hamext import (ParamPoly, PhasePoint, Q, Var, VarSystem, apply_U,
                     apply_XL, build_extended_H, build_K,

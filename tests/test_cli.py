@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,18 +31,27 @@ def test_build_ttw(capsys):
     assert doc["model"]["branch"] == "even"
 
 
-def test_every_catalog_model_builds(capsys):
-    """``--model NAME`` reaches each catalog builder; ``--A`` reaches only the
-    entries whose parameter schema lists A."""
+def test_every_catalog_model_builds(tmp_path, capsys):
+    """``--model NAME`` reaches each catalog builder; ``--A`` reaches the
+    entries whose parameter schema lists A, and the others refuse it by name,
+    as a flag or from a --config file, instead of dropping it."""
     out = {}
     for name in CATALOG:
         args = ["build", "--model", name, "--m", "2", "--n", "1"]
-        for extra in ([], ["--A", "2"]):
-            assert run(args + extra) == EXIT_OK
-            out[name, bool(extra)] = capsys.readouterr().out
-        assert json.loads(out[name, False])["model"]["name"] == name
-    assert out["cage", True] != out["cage", False]
-    assert out["ttw", True] == out["ttw", False]
+        assert run(args) == EXIT_OK
+        out[name] = capsys.readouterr().out
+        assert json.loads(out[name])["model"]["name"] == name
+        if name != "ttw":
+            assert run(args + ["--A", "2"]) == EXIT_OK
+            assert capsys.readouterr().out != out[name]
+    assert "A" not in CATALOG["ttw"]["params"]
+    assert run(["build", "--model", "ttw", "--A", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --A: the catalog model 'ttw'")
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps({"model": "ttw", "A": "2"}))
+    for command in ("build", "verify", "simulate"):
+        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --A: ")
 
 
 def test_catalog_models_refuse_inline_flags(tmp_path, capsys):
@@ -71,8 +81,8 @@ def test_verify_only_flags_refused_by_build_and_simulate(tmp_path, capsys):
              "inject-defect": "omega-shift"}
     values = {"samples": 40, "precision": 30, "seed": 7, "inject_defect": "omega-shift"}
     cfgfile = tmp_path / "job.json"
-    for command in ("build", "simulate"):
-        args = [command, "--model", "harmonic", "--param", "L0=1/2"]
+    for args in (["build", "--model", "harmonic"],
+                 ["simulate", "--model", "harmonic", "--param", "L0=1/2"]):
         for flag, value in flags.items():
             assert run(args + [f"--{flag}", value]) == EXIT_CONFIG
             assert f"--{flag}" in capsys.readouterr().err
@@ -85,6 +95,9 @@ def test_verify_only_flags_refused_by_build_and_simulate(tmp_path, capsys):
         assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
         assert ("--samples, --precision, --seed, --inject-defect: only verify"
                 in capsys.readouterr().err)
+    # build evaluates nothing, so it refuses --param too
+    assert run(["build", "--model", "harmonic", "--param", "L0=1/2"]) == EXIT_CONFIG
+    assert "--param" in capsys.readouterr().err
     # verify itself still takes all four, as flags and from a file
     assert make_config(["verify", "--seed", "7", "--inject-defect", "omega-shift"]).seed == 7
     cfgfile.write_text(json.dumps(values))
@@ -119,21 +132,38 @@ def test_config_values_need_the_flag_type(tmp_path, capsys):
     """A --config value has the type its flag parses to, or is null where
     the default is None; anything else is refused by name, not a crash."""
     cfgfile = tmp_path / "job.json"
+    # verify reads every one of these fields
     for doc in ({"m": "3"}, {"samples": "40"}, {"precision": True},
                 {"tol": "1e-3"}, {"L0": None}, {"param": {"omega": 0.5}},
                 {"param": "omega=1/2"}):
         cfgfile.write_text(json.dumps(doc))
-        assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
         (field,) = doc
         assert f"config field {field!r}" in capsys.readouterr().err
-    for doc in ({"m": 2}, {"omega": None}, {"t_final": 5},
-                {"param": ["omega=1/2"]}, {"param": {"omega": "1/2"}}):
+    for doc in ({"m": 2}, {"omega": None}):
         cfgfile.write_text(json.dumps(doc))
         assert run(["build", "--config", str(cfgfile)]) == EXIT_OK
+    # an integer is a valid float; either form of --param is read by the
+    # commands that evaluate, and build refuses both fields by name
+    cfgfile.write_text(json.dumps({"t_final": 5}))
+    assert make_config(["simulate", "--config", str(cfgfile)]).t_final == 5
+    assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "--t-final: only simulate reads these" in capsys.readouterr().err
+    for param in (["omega=1/2"], {"omega": "1/2"}):
+        cfgfile.write_text(json.dumps({"param": param}))
+        for command in ("verify", "simulate"):
+            assert make_config([command, "--config", str(cfgfile)]).param == {"omega": 0.5}
+        assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "--param: only verify and simulate read these" in capsys.readouterr().err
     # a mapping goes through the same name check as the flag
     cfgfile.write_text(json.dumps({"param": {"zeta": "1"}}))
-    assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
     assert "unknown parameter 'zeta'" in capsys.readouterr().err
+    # a file that holds no mapping of fields is refused, not a traceback
+    for doc in (5, ["m"]):
+        cfgfile.write_text(json.dumps(doc))
+        assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "not an object of option values" in capsys.readouterr().err
 
 
 def test_samples_and_precision_must_be_positive(tmp_path, capsys):
@@ -377,6 +407,69 @@ def test_param_value_refused_before_the_model_is_built(tmp_path, capsys, monkeyp
     cfgfile.write_text(json.dumps({"param": {"alpha1": "3/0"}}))
     assert run(["simulate", "--config", str(cfgfile)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --param alpha1: ")
+
+
+def test_param_value_too_large_for_a_float_refused(tmp_path, capsys, monkeypatch):
+    """A --param value with no finite float (``omega=1e400``) is a configuration
+    error naming the parameter, as a flag or in a --config file, before the
+    model is built; it used to end in an OverflowError traceback."""
+    from hamext import cli
+
+    def never(*args):
+        raise AssertionError("the model was built before --param was checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    for command in ("verify", "simulate"):
+        for value in ("1e400", "-1e400"):
+            assert run([command, "--model", "ttw", "--param", f"omega={value}"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (f"config error: --param omega: {value!r} "
+                                               "is too large for a float\n")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"param": {"alpha1": "3e400"}}))
+        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --param alpha1: ")
+    # a value that only rounds to a float is still taken
+    assert make_config(["verify", "--param", "omega=1e300"]).param == {"omega": 1e300}
+
+
+# -- which command reads which flag ---------------------------------------------
+
+#: The long flags each command accepts, written out by hand: the table in
+#: hamext.cli must agree with this list, not the other way round.
+MODEL_FLAGS = {"--model", "--m", "--n", "--omega", "--kappa", "--c", "--L0", "--A",
+               "--V", "--eta", "--out", "--config"}
+ACCEPTED = {
+    "build": MODEL_FLAGS,
+    "verify": MODEL_FLAGS | {"--param", "--tol", "--samples", "--precision", "--seed",
+                             "--inject-defect"},
+    "simulate": MODEL_FLAGS | {"--param", "--tol", "--t-final", "--stride", "--x0"},
+    "catalog": set(),
+    "solve-linear": {"--c", "--a1", "--a2", "--c1", "--c2", "--L0", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_help_lists_exactly_the_accepted_flags(command):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "hamext", command, "--help"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert set(re.findall(r"--[A-Za-z][\w-]*", proc.stdout)) - {"--help"} == ACCEPTED[command]
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_every_other_flag_refused(command, tmp_path, capsys):
+    """A flag that only other commands read is refused by name, never dropped;
+    so is its --config field, for the commands that read a --config file."""
+    cfgfile = tmp_path / "job.json"
+    for flag in sorted(set().union(*ACCEPTED.values()) - ACCEPTED[command]):
+        assert run([command, flag, "1"]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        if "--config" in ACCEPTED[command]:
+            cfgfile.write_text(json.dumps({flag[2:].replace("-", "_"): "1"}))
+            assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+            assert f"{flag}: only " in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -4,16 +4,18 @@
 check) and ``simulate`` needs both (the integrator).  Every case runs in a
 fresh interpreter, because this test process imported both long ago.  A
 blocked module is set to ``None`` in ``sys.modules``, so importing it
-raises ImportError.
+raises ImportError.  An import that nothing reads is refused everywhere.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 BUILD = ["build", "--model", "ttw", "--m", "1", "--n", "1", "--omega", "sym"]
 VERIFY = ["verify", "--model", "ttw", "--m", "1", "--n", "1", "--samples", "30"]
@@ -62,3 +64,27 @@ def test_verify_runs_without_scipy():
 def test_simulate_loads_the_integrator_when_run():
     doc = json.loads(_hamext(SIMULATE))
     assert doc["success"] is True and doc["samples"] == 5
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        imported.update((name, node.lineno) for name in names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """Every imported name is read.  The package's __init__.py imports names
+    to re-export them, so it is skipped."""
+    paths = [path for folder in ("src/hamext", "tests", "scripts")
+             for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"]
+    assert paths and [u for path in paths for u in _unused_imports(path)] == []

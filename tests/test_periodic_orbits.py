@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from hamext import Q, cage_model, ttw_model
-from hamext.cli import JobConfig, _initial_point
+from hamext.cli import _initial_point
 from hamext.dynamics import TrajectoryConfig, hamiltons_equations, integrate_adaptive
 from hamext.models import catalog_params
 
@@ -32,7 +32,7 @@ OPEN = 0.1      # measured distances at the wrong times are 0.17 to 2.2
 def _returns(model, H, params, period, multiples):
     """Largest coordinate distance from the point where ``hamext simulate``
     starts without --x0, at each multiple ``k * period``, in one integration."""
-    point = _initial_point(JobConfig(command="simulate"), model)
+    point = _initial_point(None, model)
     last = max(multiples)
     cfg = TrajectoryConfig(initial=point, t_final=last * period, rtol=TOL, atol=TOL,
                            stride=last + 1)

@@ -13,7 +13,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from hamext import ParamPoly, Q, Var, VarSystem
+from hamext import Q, Var, VarSystem
 from hamext.coeffs import Poly
 from hamext.params import PARAMS
 
