@@ -146,11 +146,11 @@ def _parse_params(items) -> Dict[str, float]:
 
 
 def build_arg_parser() -> _Parser:
-    ap = _Parser(prog="hamext", description=__doc__,
+    ap = _Parser(prog="hamext", description=__doc__, allow_abbrev=False,
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         # every flag defaults to None, "not given", so that a --config value
         # is not shadowed; make_config fills in the defaults of OPTIONS
         for name, (type_, _, *kw) in options.items():
@@ -187,8 +187,12 @@ def _read_config(path: str, command: str) -> dict:
             f"{_flags(names)}: only {' and '.join(cmds)} read{'s' * (len(cmds) == 1)} these"
             for cmds, names in readers.items()))
     for k, v in loaded.items():
-        if not _json_type_ok(*OPTIONS[command][k][:2], v):
+        type_, default, *kw = OPTIONS[command][k]
+        if not _json_type_ok(type_, default, v):
             raise ConfigError(f"config field {k!r} has the wrong type: {v!r}")
+        choices = kw[0].get("choices") if kw else None
+        if choices and v is not None and v not in choices:
+            raise ConfigError(f"config field {k!r}: {v!r} is not one of {list(choices)}")
     return loaded
 
 
@@ -225,9 +229,12 @@ def make_config(argv: Sequence[str]) -> argparse.Namespace:
         if cfg.samples < MIN_SAMPLES:
             raise ConfigError(f"--samples {cfg.samples}: a sampled claim needs at least "
                               f"{MIN_SAMPLES} accepted samples")
-    tol = vars(cfg).get("tol")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"--tol must be positive and finite, got {tol}")
+    for name in ("tol", "t_final"):
+        value = vars(cfg).get(name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{_flags([name])} must be positive and finite, got {value}")
+    if command == "simulate" and cfg.stride < 2:
+        raise ConfigError(f"--stride must be at least 2, got {cfg.stride}")
     if vars(cfg).get("out"):
         _check_out(cfg)
     return cfg
@@ -336,10 +343,9 @@ def _emit(text: str, out: Optional[str]):
 def _tampered_K(model: ModelSpec, defect: Optional[str]) -> Optional[PPoly]:
     if defect is None:
         return None
-    if defect == "omega-shift":
-        shift = ParamPoly.var("omega").scale(Q(1001, 1000))
-        return model.Kbar.poly.substitute({"omega": shift})
-    raise ConfigError(f"unknown defect {defect!r}")
+    # "omega-shift", the one choice of --inject-defect
+    shift = ParamPoly.var("omega").scale(Q(1001, 1000))
+    return model.Kbar.poly.substitute({"omega": shift})
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +418,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         raise ConfigError(str(exc))
     tol = cfg.tol if cfg.tol is not None else 1e-10
     traj_cfg = dynamics.TrajectoryConfig(initial=point, t_final=cfg.t_final,
-                                         rtol=tol, atol=tol, stride=cfg.stride)
+                                         tol=tol, stride=cfg.stride)
     field = dynamics.hamiltons_equations(model.Hbar, params)
     traj = dynamics.integrate_adaptive(traj_cfg, field)
     values = dynamics.invariant_values(traj, invariants, params)

@@ -74,7 +74,6 @@ def hamiltons_equations(H: PPoly, params: Mapping[str, object]) -> Callable:
         except (ZeroDivisionError, OverflowError, ValueError):
             return [math.inf] * dim
 
-    field.dim = dim  # type: ignore[attr-defined]
     return field
 
 
@@ -84,21 +83,19 @@ def hamiltons_equations(H: PPoly, params: Mapping[str, object]) -> Callable:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Initial data and error control for one trajectory."""
+    """Initial data and error control (``tol`` is relative and absolute)."""
 
     initial: PhasePoint
     t_final: float
-    rtol: float = 1e-10
-    atol: float = 1e-10
+    tol: float = 1e-10
     stride: int = 200                     # number of output samples
 
     def __post_init__(self):
         # NaN and inf pass a "<= 0" test, and the solver then never ends
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if not all(math.isfinite(t) and t > 0 for t in (self.rtol, self.atol)):
-            raise ValueError("tolerances must be positive and finite, "
-                             f"got rtol={self.rtol}, atol={self.atol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.stride < 2:
             raise ValueError("stride must be at least 2")
 
@@ -124,7 +121,7 @@ def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
     y0 = np.array(cfg.initial.values, dtype=float)
     t_eval = np.linspace(0.0, cfg.t_final, cfg.stride)
     sol = solve_ivp(fieldfn, (0.0, cfg.t_final), y0, method="DOP853",
-                    rtol=cfg.rtol, atol=cfg.atol, t_eval=t_eval)
+                    rtol=cfg.tol, atol=cfg.tol, t_eval=t_eval)
     return Trajectory(space=space, t=sol.t, y=sol.y.T, success=bool(sol.success),
                       message=str(sol.message), nfev=int(sol.nfev))
 
@@ -207,10 +204,10 @@ def write_trajectory(path: str, traj: Trajectory,
 
 
 def validate_initial_point(point: PhasePoint, functions: Sequence[PPoly],
-                           params: Mapping[str, object], guard: float = 1e-9):
-    """Reject initial data on or too near a coefficient singularity, or at
+                           params: Mapping[str, object]):
+    """Reject initial data within 1e-9 of a coefficient singularity, or at
     which a monitored function has no finite float value (it overflows)."""
-    fn = point.space.compile(functions, params, guard=guard)
+    fn = point.space.compile(functions, params, guard=1e-9)
     try:
         fn(*point.values)
     except SingularEvaluation as exc:

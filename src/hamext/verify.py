@@ -4,11 +4,12 @@ Symbolic checks are exact zero tests in the canonical ring.  Numeric checks
 evaluate symbolic partial derivatives at sampled phase points, by default
 with 50 significant digits, and normalize residuals by 1 + |grad H||grad K|
 so tolerances transfer across parameter scales.  Samples landing too close
-to a coefficient singularity are rejected, never counted as failures.
+to a coefficient singularity are rejected and counted; a claim with no
+symbolic verdict and fewer than MIN_SAMPLES accepted ones fails.
 
-Reports are deterministic: the same settings and RNG seed reproduce the
-same document byte for byte (timings are kept out of the document for this
-reason and go to the console instead).
+``run_model_verification`` runs the claims in one loop that times each on
+the console.  Reports are deterministic: the same settings and RNG seed
+reproduce the same document byte for byte (timings stay out of it).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
@@ -29,12 +29,14 @@ from .extension import recursion_Gn
 
 
 #: The regular box that samples are drawn from, the singular-value ratio
-#: below which a gradient direction counts as dependent, and the accepted
-#: samples a claim without a symbolic verdict needs.
+#: below which a gradient direction counts as dependent, the accepted
+#: samples a claim without a symbolic verdict needs, and the pinned ratio
+#: of the generated K_bar of ttw(1,1) to its golden form.
 POSITION_RANGE = (0.3, 1.2)
 MOMENTUM_RANGE = (-1.0, 1.0)
 RANK_THRESHOLD = 1e-8
 MIN_SAMPLES = 30
+GOLDEN_CONSTANT = 1.0
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,6 @@ class ClaimResult:
             out["details"] = {k: str(v) for k, v in sorted(self.details.items())}
         return out
 
-    def validate(self):
-        if not self.ok and "error" in self.details:
-            return  # recorded sampling failure carries its own diagnosis
-        if self.symbolic is None and self.samples_used < MIN_SAMPLES:
-            raise ValueError(
-                f"claim {self.claim!r} has neither a symbolic verdict nor "
-                f">= {MIN_SAMPLES} accepted samples ({self.samples_used})"
-            )
-
 
 @dataclass
 class VerificationReport:
@@ -111,7 +104,12 @@ class VerificationReport:
         return all(c.ok for c in self.claims)
 
     def add(self, claim: ClaimResult):
-        claim.validate()
+        """Record ``claim``.  One with no symbolic verdict and fewer than
+        MIN_SAMPLES accepted samples is recorded as a failure to sample."""
+        if claim.symbolic is None and claim.samples_used < MIN_SAMPLES:
+            claim = ClaimResult(claim=claim.claim, ok=False, samples_used=claim.samples_used,
+                                samples_rejected=claim.samples_rejected,
+                                details={"error": "failed to sample the regular region"})
         self.claims.append(claim)
 
     def to_document(self) -> str:
@@ -283,16 +281,6 @@ def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
 # model-level driver
 
 
-def _sampled(claim: str, used: int, rejected: int, **result) -> ClaimResult:
-    """A sampled claim with ``result``, or a failure with fewer than
-    ``MIN_SAMPLES`` accepted samples."""
-    if used < MIN_SAMPLES:
-        return ClaimResult(claim=claim, ok=False, samples_used=used,
-                           samples_rejected=rejected,
-                           details={"error": "failed to sample the regular region"})
-    return ClaimResult(claim=claim, samples_used=used, samples_rejected=rejected, **result)
-
-
 def run_model_verification(model: ModelSpec, params: Mapping[str, object],
                            settings: VerifySettings,
                            K_override: Optional[PPoly] = None,
@@ -300,7 +288,8 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     """Run the full claim battery for one catalog model.
 
     ``K_override`` supports defect-injection runs; ``params`` must supply a
-    numeric value for every free parameter of the model.
+    numeric value for every free parameter of the model.  The claims run,
+    and draw their sample points, in report order.
     """
     rng = random.Random(settings.rng_seed)
     report = VerificationReport(model=model.describe(), rng_seed=settings.rng_seed,
@@ -308,78 +297,60 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
     K = K_override if K_override is not None else model.Kbar.poly
     tol = settings.residual_tol
 
-    def log(label: str, t0: float):
-        if console is not None:
-            console.write(f"  {label}: {time.monotonic() - t0:.2f}s\n")
+    def points() -> List[PhasePoint]:
+        return sample_points(model.space, settings.samples, rng)
 
-    t0 = time.monotonic()
-    ok, resid = symbolic_commute_check(model.Hbar, K)
-    report.add(ClaimResult(
-        claim="commutation_symbolic", ok=ok, symbolic=ok,
-        details={} if ok else {"residual_terms": len(resid.terms)},
-    ))
-    log("commutation_symbolic", t0)
+    def commutation_symbolic() -> ClaimResult:
+        ok, resid = symbolic_commute_check(model.Hbar, K)
+        return ClaimResult(claim="commutation_symbolic", ok=ok, symbolic=ok,
+                           details={} if ok else {"residual_terms": len(resid.terms)})
 
-    t0 = time.monotonic()
-    pts = sample_points(model.space, settings.samples, rng)
-    worst, used, rej = numeric_commute_check(model.Hbar, K, pts, params,
-                                             settings.precision)
-    report.add(_sampled("commutation_numeric", used, rej, ok=worst < tol,
-                        max_residual=worst, details={"tol": f"{tol:.1e}"}))
-    log("commutation_numeric", t0)
+    def commutation_numeric() -> ClaimResult:
+        worst, used, rej = numeric_commute_check(model.Hbar, K, points(), params,
+                                                 settings.precision)
+        return ClaimResult(claim="commutation_numeric", ok=worst < tol,
+                           max_residual=worst, samples_used=used, samples_rejected=rej,
+                           details={"tol": f"{tol:.1e}"})
 
-    t0 = time.monotonic()
-    pts = sample_points(model.space, settings.samples, rng)
-    hist, used, rej = independence_rank([model.Hbar, K, model.L], pts, params)
-    full = 3
-    share = hist.get(full, 0) / used if used else 0.0
-    report.add(_sampled("independence_rank", used, rej, ok=share >= 0.95,
-                        details={"rank_histogram": json.dumps(hist, sort_keys=True),
-                                 "full_rank_share": f"{share:.3f}"}))
-    log("independence_rank", t0)
+    def rank() -> ClaimResult:
+        hist, used, rej = independence_rank([model.Hbar, K, model.L], points(), params)
+        share = hist.get(3, 0) / used if used else 0.0
+        return ClaimResult(claim="independence_rank", ok=share >= 0.95,
+                           samples_used=used, samples_rejected=rej,
+                           details={"rank_histogram": json.dumps(hist, sort_keys=True),
+                                    "full_rank_share": f"{share:.3f}"})
 
-    t0 = time.monotonic()
-    nontrivial = not apply_XL(model.seed.L,
-                              recursion_Gn(model.seed, model.Kbar.effective_n)).is_zero
-    report.add(ClaimResult(claim="seed_derivative_nonzero", ok=nontrivial,
-                           symbolic=nontrivial))
-    log("seed_derivative_nonzero", t0)
+    def seed_derivative_nonzero() -> ClaimResult:
+        nontrivial = not apply_XL(model.seed.L,
+                                  recursion_Gn(model.seed, model.Kbar.effective_n)).is_zero
+        return ClaimResult(claim="seed_derivative_nonzero", ok=nontrivial,
+                           symbolic=nontrivial)
 
-    t0 = time.monotonic()
-    pts = sample_points(model.space, settings.samples, rng)
-    worst, used, rej = fd_crosscheck(model.Hbar, pts, params)
-    report.add(_sampled("fd_crosscheck", used, rej, ok=worst < 1e-6, max_residual=worst))
-    log("fd_crosscheck", t0)
+    def fd() -> ClaimResult:
+        worst, used, rej = fd_crosscheck(model.Hbar, points(), params)
+        return ClaimResult(claim="fd_crosscheck", ok=worst < 1e-6, max_residual=worst,
+                           samples_used=used, samples_rejected=rej)
 
-    if model.name == "ttw" and (model.m, model.n) == (1, 1):
-        t0 = time.monotonic()
-        golden = golden_K21(model.params["alpha1"], model.params["alpha2"],
-                            model.params["omega"])
-        pinned = load_golden_constant("ttw_1_1")
-        pts = sample_points(model.space, settings.samples, rng)
-        const, dev, sym_ok, used, rej = golden_compare(K, golden, pts, params,
+    def golden() -> ClaimResult:
+        form = golden_K21(model.params["alpha1"], model.params["alpha2"],
+                          model.params["omega"])
+        const, dev, sym_ok, used, rej = golden_compare(K, form, points(), params,
                                                        settings.precision)
-        const_ok = abs(const - pinned) < 1e-9
-        report.add(ClaimResult(
-            claim="golden_compare", ok=bool(dev < 1e-12 and const_ok
-                                            and (sym_ok in (None, True))),
-            symbolic=sym_ok, max_residual=dev,
-            samples_used=used, samples_rejected=rej,
+        const_ok = abs(const - GOLDEN_CONSTANT) < 1e-9
+        return ClaimResult(
+            claim="golden_compare",
+            ok=bool(dev < 1e-12 and const_ok and sym_ok in (None, True)),
+            symbolic=sym_ok, max_residual=dev, samples_used=used, samples_rejected=rej,
             details={"constant": f"{const:.12g}",
-                     "pinned_constant": f"{pinned:.12g}"},
-        ))
-        log("golden_compare", t0)
+                     "pinned_constant": f"{GOLDEN_CONSTANT:.12g}"})
 
+    claims = [commutation_symbolic, commutation_numeric, rank, seed_derivative_nonzero, fd]
+    if model.name == "ttw" and (model.m, model.n) == (1, 1):
+        claims.append(golden)
+    for run in claims:
+        t0 = time.monotonic()
+        result = run()
+        report.add(result)
+        if console is not None:
+            console.write(f"  {result.claim}: {time.monotonic() - t0:.2f}s\n")
     return report
-
-
-def load_golden_constant(key: str) -> float:
-    """Pinned proportionality constant ``key`` of a golden comparison, from
-    the package's ``data/golden.json``; a missing file or key is an error."""
-    import importlib.resources as res
-    path = "data/golden.json"
-    try:
-        data = json.loads(res.files("hamext").joinpath(path).read_text())
-        return float(Fraction(data[key]["constant"]))
-    except (FileNotFoundError, KeyError) as exc:
-        raise LookupError(f"no pinned golden constant {key!r} in hamext/{path}") from exc

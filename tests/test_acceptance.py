@@ -238,8 +238,7 @@ def test_criterion_12_conservation_along_flow():
     mdl = ttw_model(2, 1)
     pt = PhasePoint.make(mdl.space, {"q": 0.8, "u": 0.9, "p_q": 0.3,
                                      "p_u": -0.2})
-    cfg = TrajectoryConfig(initial=pt, t_final=100.0, rtol=1e-12, atol=1e-12,
-                           stride=400)
+    cfg = TrajectoryConfig(initial=pt, t_final=100.0, tol=1e-12, stride=400)
     traj = integrate_adaptive(cfg, hamiltons_equations(mdl.Hbar, params))
     invs = {"H": mdl.Hbar, "K": mdl.Kbar.poly, "L": mdl.L,
             "p_u": mdl.space.p("u")}

@@ -197,6 +197,60 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys):
         assert "--tol must be positive and finite" in capsys.readouterr().err
 
 
+def test_config_values_need_the_flag_choices(tmp_path, capsys, monkeypatch):
+    """A --config value outside its flag's choices is refused by field name
+    before the model is built, as the flag is by argparse."""
+    from hamext import cli
+
+    def never(*args):
+        raise AssertionError("the model was built before the choices were checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    cfgfile = tmp_path / "job.json"
+    for command, doc, field, flag in (
+            ("verify", {"inject_defect": "nope"}, "inject_defect", ["--inject-defect", "nope"]),
+            ("build", {"model": "inline", "kappa": 5}, "kappa", ["--kappa", "5"])):
+        cfgfile.write_text(json.dumps(doc))
+        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert f"config field {field!r}: {doc[field]!r} is not one of" in capsys.readouterr().err
+        assert run([command, "--model", "inline", *flag]) == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_flag_prefixes_refused(capsys):
+    """Each flag is spelled in full: argparse would otherwise read --mod as
+    --model and --pre as --precision."""
+    for argv in (["build", "--mod", "ttw", "--m", "1"], ["verify", "--pre", "30"]):
+        assert run(argv) == EXIT_CONFIG
+        assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+
+
+def test_simulate_span_and_stride_refused_before_the_model_is_built(tmp_path, capsys,
+                                                                   monkeypatch):
+    """A --t-final that is not finite and positive, or a --stride below 2, is a
+    configuration error naming the flag, as a flag or in a --config file,
+    before the model is built."""
+    from hamext import cli
+
+    def never(*args):
+        raise AssertionError("the model was built before --t-final and --stride were checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    cfgfile = tmp_path / "job.json"
+    for name, value, message in (("t_final", -1.0, "--t-final must be positive and finite"),
+                                 ("t_final", 0.0, "--t-final must be positive and finite"),
+                                 ("t_final", float("nan"), "--t-final must be positive"),
+                                 ("t_final", float("inf"), "--t-final must be positive"),
+                                 ("stride", 1, "--stride must be at least 2, got 1")):
+        flag = "--" + name.replace("_", "-")
+        assert run(["simulate", "--model", "ttw", "--m", "5", "--n", "3",
+                    flag, str(value)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        cfgfile.write_text(json.dumps({name: value}))
+        assert run(["simulate", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
 def test_inline_L0_refused_when_c_is_nonzero(capsys):
     """For c != 0 the profile takes L0 = 0, so a nonzero --L0 is refused
     rather than dropped; --L0 0 and the default still build."""

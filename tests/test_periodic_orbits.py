@@ -34,8 +34,7 @@ def _returns(model, H, params, period, multiples):
     starts without --x0, at each multiple ``k * period``, in one integration."""
     point = _initial_point(None, model)
     last = max(multiples)
-    cfg = TrajectoryConfig(initial=point, t_final=last * period, rtol=TOL, atol=TOL,
-                           stride=last + 1)
+    cfg = TrajectoryConfig(initial=point, t_final=last * period, tol=TOL, stride=last + 1)
     traj = integrate_adaptive(cfg, hamiltons_equations(H, params))
     assert traj.success, traj.message
     y0 = np.array(point.values)

@@ -1,14 +1,13 @@
-import importlib.resources
-import json
 import random
 
 import pytest
 
 from hamext import (ParamPoly, PhasePoint, PhaseSpace, Q, Var, VarSystem,
                     cage_model, golden_K21, ttw_model)
-from hamext.verify import (ClaimResult, VerifySettings, fd_crosscheck,
-                           golden_compare, independence_rank,
-                           load_golden_constant, numeric_commute_check,
+from hamext.cli import EXIT_CLAIM, main
+from hamext.verify import (GOLDEN_CONSTANT, ClaimResult, VerificationReport,
+                           VerifySettings, fd_crosscheck, golden_compare,
+                           independence_rank, numeric_commute_check,
                            run_model_verification, sample_points,
                            symbolic_commute_check)
 
@@ -113,25 +112,8 @@ def test_golden_compare_trivial_and_real(ttw, settings, ttw_params):
     golden = golden_K21()
     const, dev, sym, used, _ = golden_compare(K, golden, pts, ttw_params)
     assert sym is True
-    assert const == pytest.approx(load_golden_constant("ttw_1_1"), abs=1e-30)
+    assert const == pytest.approx(GOLDEN_CONSTANT, abs=1e-30)
     assert dev < 1e-12 and used >= 30
-
-
-def test_missing_golden_constant_is_an_error(ttw, ttw_params, tmp_path, monkeypatch):
-    """A golden comparison whose pinned constant is gone fails loudly, naming
-    the key, instead of passing with ``"pinned_constant": "none"``."""
-    table = json.loads(importlib.resources.files("hamext")
-                       .joinpath("data/golden.json").read_text())
-    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
-    with pytest.raises(LookupError, match="'ttw_1_1'"):
-        load_golden_constant("ttw_1_1")   # no data/golden.json at all
-    del table["ttw_1_1"]
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "golden.json").write_text(json.dumps(table))
-    with pytest.raises(LookupError, match="'ttw_1_1'"):
-        load_golden_constant("ttw_1_1")
-    with pytest.raises(LookupError, match="'ttw_1_1'"):
-        run_model_verification(ttw, ttw_params, VerifySettings(samples=30))
 
 
 def test_fd_crosscheck(ttw, settings, ttw_params):
@@ -176,13 +158,43 @@ def test_reports_reproducible(ttw, ttw_params):
     assert other.to_document() != r1.to_document()
 
 
-def test_claim_sample_floor_enforced():
-    with pytest.raises(ValueError):
-        ClaimResult(claim="x", ok=True, samples_used=3).validate()
-    ClaimResult(claim="x", ok=True, symbolic=True).validate()
-    # a recorded sampling failure is a legitimate (failing) entry
-    ClaimResult(claim="x", ok=False, samples_used=0,
-                details={"error": "failed to sample"}).validate()
+def test_report_add_holds_the_sample_floor():
+    """A claim with no symbolic verdict and fewer than MIN_SAMPLES accepted
+    samples is recorded as a failure to sample, with its counts; one with a
+    symbolic verdict, or with enough samples, is recorded as given."""
+    report = VerificationReport(model={}, rng_seed=0, precision=50)
+    report.add(ClaimResult(claim="short", ok=True, max_residual=1e-50, samples_used=3,
+                           samples_rejected=4, details={"tol": "1e-40"}))
+    assert report.claims == [ClaimResult(
+        claim="short", ok=False, samples_used=3, samples_rejected=4,
+        details={"error": "failed to sample the regular region"})]
+    given = [ClaimResult(claim="exact", ok=True, symbolic=True),
+             ClaimResult(claim="exact_unsampled", ok=True, symbolic=True, samples_rejected=5),
+             ClaimResult(claim="sampled", ok=True, max_residual=0.0, samples_used=30)]
+    for claim in given:
+        report.add(claim)
+    assert report.claims[1:] == given
+    assert not report.all_ok
+
+
+def test_unsampleable_region_fails_the_sampled_claims(ttw, ttw_params, monkeypatch, capsys):
+    """With every sample on the sin q = 0 singular locus, each sampled claim
+    is a recorded failure to sample and verify exits with a failed claim."""
+    import hamext.verify
+
+    def on_the_locus(space, count, rng):
+        return [PhasePoint.make(space, {"q": 0.0, "u": 0.9, "p_q": 0.1, "p_u": 0.2})] * count
+
+    monkeypatch.setattr(hamext.verify, "sample_points", on_the_locus)
+    report = run_model_verification(ttw, ttw_params, VerifySettings(samples=30))
+    claims = {c.claim: c.to_dict() for c in report.claims}
+    for name in ("commutation_numeric", "independence_rank", "fd_crosscheck"):
+        assert claims[name] == {"claim": name, "ok": False, "samples_used": 0,
+                                "samples_rejected": 30, "details": {
+                                    "error": "failed to sample the regular region"}}
+    assert claims["commutation_symbolic"]["ok"] and not report.all_ok
+    assert main(["verify", "--model", "ttw", "--samples", "30"]) == EXIT_CLAIM
+    assert '"failed to sample the regular region"' in capsys.readouterr().out
 
 
 def test_all_samples_rejected_reported_not_crashed(ttw, ttw_params):
