@@ -1,6 +1,7 @@
 """Claim verification: symbolic commutation, sampled residuals, independence.
 
-Symbolic checks are exact zero tests in the canonical ring.  Numeric checks
+Symbolic checks are exact zero tests: the commutation claim on the flat
+kernel of ``flat.py``, the others in the canonical ring.  Numeric checks
 evaluate symbolic partial derivatives at sampled phase points, by default
 with 50 significant digits, and normalize residuals by 1 + |grad H||grad K|
 so tolerances transfer across parameter scales.  Samples landing too close
@@ -128,9 +129,21 @@ class VerificationReport:
 
 
 def symbolic_commute_check(H: PPoly, K: PPoly) -> Tuple[bool, PPoly]:
-    """Exact bracket test; the residual is retained for failures."""
+    """Exact bracket test, ``(verdict, residual)``.
+
+    The verdict comes from the flat kernel's ``bracket_is_zero``.  Only a
+    nonzero verdict builds the ring's bracket, as the residual to report;
+    a zero verdict returns the zero residual.
+    """
+    # imported here, so that build and the other commands start without it
+    from .flat import bracket_is_zero
+
+    if bracket_is_zero(H, K):
+        return True, H.space.zero()
     resid = poisson_bracket(H, K)
-    return resid.is_zero, resid
+    if resid.is_zero:
+        raise ArithmeticError("the flat zero test and the ring's bracket disagree")
+    return False, resid
 
 
 def _sample(points: Sequence[PhasePoint], row: Callable) -> Tuple[List[list], int]:

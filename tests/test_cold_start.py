@@ -1,7 +1,8 @@
 """Each command loads only the numeric stack it uses.
 
-``build`` needs neither numpy nor scipy, ``verify`` needs numpy (its rank
-check) and ``simulate`` needs both (the integrator).  Every case runs in a
+``build`` needs neither numpy nor scipy nor the flat zero test,
+``verify`` needs numpy (its rank check) and ``simulate`` needs both numpy
+and scipy (the integrator).  Every case runs in a
 fresh interpreter, because this test process imported both long ago.  A
 blocked module is set to ``None`` in ``sys.modules``, so importing it
 raises ImportError.  An import that nothing reads is refused everywhere.
@@ -54,7 +55,7 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
 
 
 def test_build_runs_without_numpy_and_scipy():
-    assert _hamext(BUILD, blocked=("numpy", "scipy")) == _hamext(BUILD)
+    assert _hamext(BUILD, blocked=("numpy", "scipy", "hamext.flat")) == _hamext(BUILD)
 
 
 def test_verify_runs_without_scipy():
