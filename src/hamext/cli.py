@@ -13,7 +13,7 @@ each is a flag and, for build, verify and simulate, a --config key.  Every
 other option is refused by name, as are the inline model's options and a
 schema-less --A on a catalog model.  Each command loads only the numeric
 stack it uses: build neither numpy nor scipy, verify numpy (for its rank
-check), simulate numpy and scipy (for the integrator).
+check), simulate numpy (for its output arrays); none of them loads scipy.
 
 An --out that cannot be written is refused before any work is done.
 
@@ -404,7 +404,7 @@ def _initial_point(x0: Optional[str], model: ModelSpec) -> PhasePoint:
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
-    # the only command that needs scipy: build and verify start without it
+    # the only command that integrates: build and verify start without it
     from . import dynamics
 
     model = build_model(cfg)

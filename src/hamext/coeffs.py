@@ -990,7 +990,7 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
     * a denominator is ``(0 + 1*mono) * f**k * ...``; if its magnitude is
       below ``guard`` the function raises SingularEvaluation, otherwise a
       term is ``num / den * p**e * ...``.  The default guard is 1e-12, or
-      the mpf 10^(10 - prec) with ``prec``.
+      the mpf 10^(10 - prec) with ``prec``; a guard of 0 compiles no check.
     """
     if prec is None:
         return _compile(sys, targets, params, 1e-12 if guard is None else guard,
@@ -1064,7 +1064,8 @@ def _compile(sys: VarSystem, targets, params, guard, momenta: int, conv) -> Call
         for f, k in c.den_factors:
             den += f" * {total(f)}" if k == 1 else f" * {total(f)} ** {k}"
         lines.append(f"d = {den}")
-        lines.append("if abs(d) < G: raise below(d)")
+        if guard > 0:  # abs(d) < G never holds for G <= 0, not even for a NaN d
+            lines.append("if abs(d) < G: raise below(d)")
         return f"{total(c.num)} / d"
 
     for j, target in enumerate(targets):

@@ -5,15 +5,16 @@ Hamilton's equations are compiled once from the exact symbolic partials by
 here in double precision: all ``2*dim`` components form one function, so
 a right-hand-side call computes the generators and their powers once, and
 so do the monitored invariants at each output row.  The flow is integrated
-with an adaptive high-order one-step method (DOP853 via scipy).
+with an adaptive high-order one-step method, Dormand–Prince 8(5,3)
+(``_dop853``, which takes the steps of scipy's DOP853 without scipy).
 Conservation claims are checked as drift bounds along trajectories; a
 splitting or structure-preserving scheme is deliberately not used because
 the position-dependent kinetic coupling has no closed-form sub-flows.
 
-Solver rows cross into Python as Python floats (``ndarray.tolist``): the
-right-hand side, the invariant monitor and the trajectory writer read no
-numpy scalars.  The compiled functions take ``float()`` of each
-coordinate first, so the values are bitwise those of ndarray rows.
+The solver passes lists of Python floats to the right-hand side, and the
+invariant monitor and the trajectory writer read rows as Python floats
+(``ndarray.tolist``).  The compiled functions take ``float()`` of each
+coordinate first, so an ndarray row gives bitwise the same values.
 Trajectories are written as delimited text with 17 significant digits,
 one ``%.16e`` format per row.
 """
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .coeffs import SingularEvaluation
 from .phase import PhasePoint, PhaseSpace, PPoly
 
@@ -64,11 +65,6 @@ def hamiltons_equations(H: PPoly, params: Mapping[str, object]) -> Callable:
     dim = len(comps)
 
     def field(t: float, y: Sequence[float]) -> List[float]:
-        # the solver passes an ndarray; the compiled function converts each
-        # coordinate with float(), and Python floats convert faster than
-        # numpy scalars, to bitwise the same values
-        if isinstance(y, np.ndarray):
-            y = y.tolist()
         try:
             return fn(*y)
         except (ZeroDivisionError, OverflowError, ValueError):
@@ -111,19 +107,20 @@ class Trajectory:
 
 
 def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
-    """Adaptive integration with dense output on the stride grid.
+    """Adaptive integration with dense output on the stride grid: DOP853
+    (``_dop853.solve``) with ``tol`` as relative and absolute tolerance.
 
     On singular approach the step control shrinks until the solver aborts;
     the partial trajectory and the solver message are returned rather than
     raised.
     """
     space = cfg.initial.space
-    y0 = np.array(cfg.initial.values, dtype=float)
-    t_eval = np.linspace(0.0, cfg.t_final, cfg.stride)
-    sol = solve_ivp(fieldfn, (0.0, cfg.t_final), y0, method="DOP853",
-                    rtol=cfg.tol, atol=cfg.tol, t_eval=t_eval)
-    return Trajectory(space=space, t=sol.t, y=sol.y.T, success=bool(sol.success),
-                      message=str(sol.message), nfev=int(sol.nfev))
+    t_eval = np.linspace(0.0, cfg.t_final, cfg.stride).tolist()
+    t, y, success, message, nfev = _dop853.solve(
+        fieldfn, cfg.t_final, cfg.initial.values, cfg.tol, cfg.tol, t_eval)
+    return Trajectory(space=space, t=np.array(t, dtype=float),
+                      y=np.array(y, dtype=float).reshape(-1, len(cfg.initial.values)),
+                      success=success, message=message, nfev=nfev)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Each command loads only the numeric stack it uses.
 
 ``build`` needs neither numpy nor scipy nor the flat zero test,
-``verify`` needs numpy (its rank check) and ``simulate`` needs both numpy
-and scipy (the integrator).  Every case runs in a
-fresh interpreter, because this test process imported both long ago.  A
-blocked module is set to ``None`` in ``sys.modules``, so importing it
-raises ImportError.  An import that nothing reads is refused everywhere.
+``verify`` needs numpy (its rank check) and ``simulate`` needs numpy (its
+output arrays) but not scipy (the integrator is ``hamext._dop853``).
+Every case runs in a fresh interpreter, because this test process
+imported both long ago.  A blocked module is set to ``None`` in
+``sys.modules``, so importing it raises ImportError.  An import that
+nothing reads is refused everywhere.
 """
 
 import ast
@@ -60,6 +61,10 @@ def test_build_runs_without_numpy_and_scipy():
 
 def test_verify_runs_without_scipy():
     assert _hamext(VERIFY, blocked=("scipy",)) == _hamext(VERIFY)
+
+
+def test_simulate_runs_without_scipy():
+    assert _hamext(SIMULATE, blocked=("scipy",)) == _hamext(SIMULATE)
 
 
 def test_simulate_loads_the_integrator_when_run():

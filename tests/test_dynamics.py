@@ -162,6 +162,17 @@ def test_singular_approach_is_graceful(line_space):
     assert len(traj.t) >= 1 and traj.t[-1] < 10.0
 
 
+def test_no_step_gives_an_empty_trajectory(line_space):
+    """A field that is never finite fails the first step: the trajectory
+    is empty, with the solver's message."""
+    pt = PhasePoint.make(line_space, {"x": 0.8, "p_x": -0.8})
+    traj = integrate_adaptive(TrajectoryConfig(initial=pt, t_final=1.0),
+                              lambda t, y: [math.inf] * 2)
+    assert not traj.success
+    assert traj.message == "Required step size is less than spacing between numbers."
+    assert traj.t.shape == (0,) and traj.y.shape == (0, 2)
+
+
 def test_validate_initial_point(ttw11, ttw_params):
     good = PhasePoint.make(ttw11.space, {"q": 0.7, "u": 0.9, "p_q": 0.1, "p_u": 0.1})
     validate_initial_point(good, [ttw11.Hbar, ttw11.Kbar.poly], ttw_params)

@@ -223,6 +223,27 @@ def test_singular_points_agree():
         F.evaluate({"q": 0.4, "u": 1e-13, "p_q": 1.0, "p_u": 0.0}, PARAM_VALUES)
 
 
+def test_zero_guard_compiles_no_check():
+    """``abs(d) < 0`` never holds, not even for a NaN ``d``, so a guard of 0
+    compiles no check line; a positive guard keeps it and still raises."""
+    sys = SYSTEMS["circular"]
+    space = SPACES["circular"]
+    u, S = sys.coord("u"), sys.S("q")
+    F = space.lift(sys.one() / (u + S) ** 2) * space.p("q") + space.lift(S / u)
+    near = {"q": 0.4, "u": 0.01, "p_q": 1.0, "p_u": 0.0}
+    values = [near[n] for n in space.coordinate_names]
+    for prec in (None, 50):
+        assert "abs(d) < G" not in space.compile([F], PARAM_VALUES, prec, 0.0).source
+        assert "abs(d) < G" in space.compile([F], PARAM_VALUES, prec, 0.05).source
+        with pytest.raises(SingularEvaluation):
+            F.compile(PARAM_VALUES, prec, 0.05)(*values)
+        want = outcome(lambda: ref_ppoly_evaluate(F, near, PARAM_VALUES, prec, 0.0))
+        assert outcome(lambda: F.compile(PARAM_VALUES, prec, 0.0)(*values)) == want
+    nan = dict(near, u=math.nan)
+    got = F.compile(PARAM_VALUES, None, 0.0)(*[nan[n] for n in space.coordinate_names])
+    assert math.isnan(got)
+
+
 # -- the gradients verify evaluates --------------------------------------------------
 
 INLINE_V = "(c1 + c2*cos(q))/sin(q)^2"
