@@ -12,8 +12,8 @@ OPTIONS declares each command's options once, with types and defaults:
 each is a flag and, for build, verify and simulate, a --config key.  Every
 other option is refused by name, as are the inline model's options and a
 schema-less --A on a catalog model.  Each command loads only the numeric
-stack it uses: build neither numpy nor scipy, verify numpy (for its rank
-check), simulate numpy (for its output arrays); none of them loads scipy.
+stack it uses: build and simulate load neither numpy nor scipy, verify
+numpy (for its rank check) but not scipy.
 
 An --out that cannot be written is refused before any work is done.
 
@@ -36,7 +36,7 @@ from .exprparse import ExpressionError, parse_coeff
 from .extension import SeedConditionError, make_extension_space, solve_linear_seed
 from .models import CATALOG, ModelSpec, catalog_params, extend_model
 from .params import PARAMS, ParamPoly, Q
-from .phase import PhasePoint, PPoly
+from .phase import PhasePoint, PPoly, param_monomials
 from .verify import MIN_SAMPLES, VerifySettings, run_model_verification
 
 EXIT_OK = 0
@@ -298,14 +298,7 @@ def build_model(cfg: argparse.Namespace) -> ModelSpec:
 
 def _occurring_params(*polys: PPoly) -> List[str]:
     """Names of the parameters that occur anywhere in the given polynomials."""
-    found = set()
-    for F in polys:
-        for c in F.terms.values():
-            for poly in (c.num, *(f for f, _ in c.den_factors)):
-                for pp in poly.terms.values():
-                    for pmono in pp.nums:
-                        found.update(i for i, _ in pmono)
-    return [PARAMS[i] for i in sorted(found)]
+    return [PARAMS[i] for i in sorted({i for pm in param_monomials(*polys) for i, _ in pm})]
 
 
 def numeric_params(cfg: argparse.Namespace, model: ModelSpec) -> Dict[str, float]:
@@ -387,6 +380,8 @@ def _initial_point(x0: Optional[str], model: ModelSpec) -> PhasePoint:
             k = k.strip()
             if k not in names:
                 raise ConfigError(f"unknown coordinate {k!r}; expected {names}")
+            if k in coords:
+                raise ConfigError(f"--x0 gives the coordinate {k!r} twice")
             try:
                 coords[k] = float(v)
             except ValueError:
@@ -416,7 +411,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         dynamics.validate_initial_point(point, list(invariants.values()), params)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    tol = cfg.tol if cfg.tol is not None else 1e-10
+    tol = cfg.tol if cfg.tol is not None else dynamics.TrajectoryConfig.tol
     traj_cfg = dynamics.TrajectoryConfig(initial=point, t_final=cfg.t_final,
                                          tol=tol, stride=cfg.stride)
     field = dynamics.hamiltons_equations(model.Hbar, params)

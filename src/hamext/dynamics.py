@@ -11,12 +11,10 @@ Conservation claims are checked as drift bounds along trajectories; a
 splitting or structure-preserving scheme is deliberately not used because
 the position-dependent kinetic coupling has no closed-form sub-flows.
 
-The solver passes lists of Python floats to the right-hand side, and the
-invariant monitor and the trajectory writer read rows as Python floats
-(``ndarray.tolist``).  The compiled functions take ``float()`` of each
-coordinate first, so an ndarray row gives bitwise the same values.
-Trajectories are written as delimited text with 17 significant digits,
-one ``%.16e`` format per row.
+From solver to files a flow is Python floats: the solver's output rows
+are lists, the invariant monitor reads them and takes a Python max, and
+the trajectory writer formats them as they are, one ``%.16e`` format per
+row (17 significant digits).  This module does not import numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 from . import _dop853
 from .coeffs import SingularEvaluation
@@ -99,8 +95,8 @@ class TrajectoryConfig:
 @dataclass
 class Trajectory:
     space: PhaseSpace
-    t: np.ndarray
-    y: np.ndarray          # shape (len(t), 2*dim)
+    t: List[float]
+    y: List[List[float]]   # one row of 2*dim coordinates per time
     success: bool
     message: str
     nfev: int
@@ -114,13 +110,15 @@ def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
     the partial trajectory and the solver message are returned rather than
     raised.
     """
-    space = cfg.initial.space
-    t_eval = np.linspace(0.0, cfg.t_final, cfg.stride).tolist()
+    # np.linspace(0, t_final, stride) bit for bit, also where the step
+    # underflows to 0 (a subnormal t_final)
+    div = cfg.stride - 1
+    step = cfg.t_final / div
+    t_eval = [i * step if step else i / div * cfg.t_final for i in range(div)]
     t, y, success, message, nfev = _dop853.solve(
-        fieldfn, cfg.t_final, cfg.initial.values, cfg.tol, cfg.tol, t_eval)
-    return Trajectory(space=space, t=np.array(t, dtype=float),
-                      y=np.array(y, dtype=float).reshape(-1, len(cfg.initial.values)),
-                      success=success, message=message, nfev=nfev)
+        fieldfn, cfg.t_final, cfg.initial.values, cfg.tol, cfg.tol, t_eval + [cfg.t_final])
+    return Trajectory(space=cfg.initial.space, t=t, y=y, success=success,
+                      message=message, nfev=nfev)
 
 
 @dataclass
@@ -154,50 +152,47 @@ class DriftReport:
 
 
 def invariant_values(traj: Trajectory, invariants: Mapping[str, PPoly],
-                     params: Mapping[str, object]) -> Dict[str, np.ndarray]:
+                     params: Mapping[str, object]) -> Dict[str, List[float]]:
     """The invariants compiled once, as one function evaluated at every
     output row; unguarded, like ``compile_ppoly``."""
     fn = traj.space.compile(list(invariants.values()), params, guard=0.0)
-    rows = [fn(*row) for row in traj.y.tolist()]
+    rows = [fn(*row) for row in traj.y]
     columns = zip(*rows) if rows else [()] * len(invariants)
-    return {name: np.array(col, dtype=float) for name, col in zip(invariants, columns)}
+    return {name: list(col) for name, col in zip(invariants, columns)}
 
 
-def monitor_invariants(traj: Trajectory, values: Mapping[str, np.ndarray]) -> DriftReport:
+def monitor_invariants(traj: Trajectory, values: Mapping[str, Sequence[float]]) -> DriftReport:
     """Relative drift against the t = 0 value for each monitored function.
 
     ``values`` holds each function's values along the trajectory, as
     ``invariant_values`` returns them.  Initial values with magnitude below
-    1e-10 switch that entry to absolute drift; an empty trajectory gives
-    ``nan`` entries.
+    1e-10 switch that entry to absolute drift.  An empty trajectory gives
+    ``nan`` entries, and a ``nan`` anywhere in a column a ``nan`` drift.
     """
     entries: Dict[str, Dict[str, float]] = {}
     for name, vals in values.items():
         v0 = vals[0] if len(vals) else math.nan
-        dev = np.max(np.abs(vals - v0)) if len(vals) else math.nan
+        devs = [abs(v - v0) for v in vals]
+        dev = math.nan if any(map(math.isnan, devs)) else max(devs, default=math.nan)
         scale = abs(v0)
-        relative = scale >= 1e-10
-        entries[name] = {
-            "initial": float(v0),
-            "max_drift": float(dev / scale) if relative else float(dev),
-        }
+        entries[name] = {"initial": v0,
+                         "max_drift": dev / scale if scale >= 1e-10 else dev}
     return DriftReport(entries=entries, samples=len(traj.t), nfev=traj.nfev,
                        success=traj.success, message=traj.message)
 
 
 def write_trajectory(path: str, traj: Trajectory,
-                     invariants: Optional[Mapping[str, np.ndarray]] = None):
+                     invariants: Optional[Mapping[str, Sequence[float]]] = None):
     """Delimited text: header row, then t, coordinates, invariant columns.
 
-    Each row is one ``%.16e`` format over Python floats."""
+    Each row is one ``%.16e`` format."""
     names = list(traj.space.coordinate_names)
     inv_names = sorted(invariants) if invariants else []
-    columns = [traj.t.tolist(), *traj.y.T.tolist(),
-               *(invariants[k].tolist() for k in inv_names)]
-    row = "\t".join(["%.16e"] * len(columns)) + "\n"
+    row = "\t".join(["%.16e"] * (1 + len(names) + len(inv_names))) + "\n"
     with open(path, "w") as fh:
         fh.write("\t".join(["t"] + names + inv_names) + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+        fh.writelines(row % values for values in
+                      zip(traj.t, *zip(*traj.y), *(invariants[k] for k in inv_names)))
 
 
 def validate_initial_point(point: PhasePoint, functions: Sequence[PPoly],

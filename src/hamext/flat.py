@@ -33,7 +33,7 @@ from functools import reduce
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .phase import PhaseSpaceMismatch, PPoly
+from .phase import PhaseSpaceMismatch, PPoly, param_monomials
 
 #: Bits per packed exponent field.  A field stores ``exponent + 2**(FIELD_BITS - 1)``.
 FIELD_BITS = 16
@@ -91,12 +91,7 @@ class _Kernel:
     def __init__(self, H: PPoly, K: PPoly):
         space = H.space
         sysv = space.system
-        pmonos = set()
-        for F in (H, K):
-            for c in F.terms.values():
-                for poly in (c.num, *(f for f, _ in c.den_factors)):
-                    for pp in poly.terms.values():
-                        pmonos.update(pp.nums)
+        pmonos = param_monomials(H, K)
         occurring = sorted({i for pm in pmonos for i, _ in pm})
         # fields from the low end: parameters, generator slots, momenta
         shift = {p: FIELD_BITS * j for j, p in enumerate(occurring)}

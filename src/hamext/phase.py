@@ -352,6 +352,13 @@ class PPoly:
         return f"PPoly({self.render()})"
 
 
+def param_monomials(*polys: PPoly) -> set:
+    """The parameter monomials of every numerator and denominator factor of ``polys``."""
+    return {pmono for F in polys for c in F.terms.values()
+            for poly in (c.num, *(f for f, _ in c.den_factors))
+            for pp in poly.terms.values() for pmono in pp.nums}
+
+
 # ---------------------------------------------------------------------------
 # operators
 

@@ -370,6 +370,18 @@ def test_simulate_refuses_a_bad_x0_by_name(capsys):
     assert "initial point gives no value" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_repeated_x0_coordinate(capsys):
+    """A coordinate given twice is refused by name, whichever value comes
+    last and even if both values agree."""
+    args = ["simulate", "--model", "harmonic", "--param", "L0=1/2", "--t-final", "1"]
+    for x0, name in (("q=0.6,u=0.8,p_q=0.4,p_u=-0.3,q=0.9", "q"),
+                     ("q=0.6,u=0.8,p_q=0.4,p_u=-0.3, p_u=-0.3", "p_u")):
+        assert run(args + ["--x0", x0]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--x0 gives the coordinate {name!r} twice" in captured.err
+
+
 def test_simulate_integration_abort(capsys):
     rc = run(["simulate", "--model", "cage", "--param", "b=-2",
               "--param", "L0=0", "--param", "omega=0",

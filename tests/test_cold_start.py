@@ -1,12 +1,12 @@
 """Each command loads only the numeric stack it uses.
 
 ``build`` needs neither numpy nor scipy nor the flat zero test,
-``verify`` needs numpy (its rank check) and ``simulate`` needs numpy (its
-output arrays) but not scipy (the integrator is ``hamext._dop853``).
-Every case runs in a fresh interpreter, because this test process
-imported both long ago.  A blocked module is set to ``None`` in
-``sys.modules``, so importing it raises ImportError.  An import that
-nothing reads is refused everywhere.
+``verify`` needs numpy (its rank check) but not scipy, and ``simulate``
+needs neither: the integrator is ``hamext._dop853``, and its rows stay
+Python floats up to the files.  Every case runs in a fresh interpreter,
+because this test process imported both long ago.  A blocked module is
+set to ``None`` in ``sys.modules``, so importing it raises ImportError.
+An import that nothing reads is refused everywhere.
 """
 
 import ast
@@ -63,8 +63,14 @@ def test_verify_runs_without_scipy():
     assert _hamext(VERIFY, blocked=("scipy",)) == _hamext(VERIFY)
 
 
-def test_simulate_runs_without_scipy():
-    assert _hamext(SIMULATE, blocked=("scipy",)) == _hamext(SIMULATE)
+def test_simulate_runs_without_numpy_and_scipy(tmp_path):
+    """The same stdout, trajectory and drift files with both blocked."""
+    outs = [str(tmp_path / "blocked"), str(tmp_path / "free")]
+    assert _hamext(SIMULATE + ["--out", outs[0]], blocked=("numpy", "scipy")) == \
+        _hamext(SIMULATE + ["--out", outs[1]])
+    for suffix in (".traj.tsv", ".drift.json"):
+        blocked, free = (Path(out + suffix).read_bytes() for out in outs)
+        assert blocked == free and blocked
 
 
 def test_simulate_loads_the_integrator_when_run():

@@ -73,9 +73,9 @@ def test_flows_take_scipys_steps(name):
         assert ours.success and theirs.success
         assert ours.message == theirs.message
         assert ours.nfev == theirs.nfev
-        assert ours.t.tobytes() == theirs.t.tobytes()
-        assert ours.y.shape == theirs.y.T.shape
-        assert np.max(np.abs(ours.y - theirs.y.T)) <= 1e-10
+        assert np.array(ours.t).tobytes() == theirs.t.tobytes()
+        assert np.array(ours.y).shape == theirs.y.T.shape
+        assert np.max(np.abs(np.array(ours.y) - theirs.y.T)) <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_singular_approach_matches_scipy(line_space, tol):
     assert not ours.success and not theirs.success
     assert ours.message == theirs.message
     assert ours.nfev == theirs.nfev
-    assert ours.t.tobytes() == theirs.t.tobytes()
+    assert np.array(ours.t).tobytes() == theirs.t.tobytes()
     assert our_warnings == their_warnings
     assert len(our_warnings) == (tol < 100 * _dop853.EPS)
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -77,10 +78,9 @@ def test_field_and_invariants_match_each_function(ttw11, ttw_params):
 
 def test_empty_trajectory_gives_nan_entries(line_space):
     H = _free_H(line_space)
-    traj = Trajectory(space=line_space, t=np.array([]), y=np.empty((0, 2)),
-                      success=False, message="no step", nfev=0)
+    traj = Trajectory(space=line_space, t=[], y=[], success=False, message="no step", nfev=0)
     values = invariant_values(traj, {"H": H}, {})
-    assert len(values["H"]) == 0
+    assert values["H"] == []
     report = monitor_invariants(traj, values)
     assert math.isnan(report.entries["H"]["initial"])
     assert math.isnan(report.drift("H"))
@@ -170,7 +170,7 @@ def test_no_step_gives_an_empty_trajectory(line_space):
                               lambda t, y: [math.inf] * 2)
     assert not traj.success
     assert traj.message == "Required step size is less than spacing between numbers."
-    assert traj.t.shape == (0,) and traj.y.shape == (0, 2)
+    assert traj.t == [] and traj.y == []
 
 
 def test_validate_initial_point(ttw11, ttw_params):
@@ -279,11 +279,50 @@ def test_invariant_values_match_the_per_row_loop(ttw11, ttw_params):
     invs = {"K": K, "H": H}
     # oracle: the loop over ndarray rows, one column gathered at a time
     fn = H.space.compile(list(invs.values()), ttw_params, guard=0.0)
-    rows = [fn(*row) for row in traj.y]
-    want = {name: np.array([row[i] for row in rows], dtype=float)
-            for i, name in enumerate(invs)}
+    rows = [fn(*row) for row in np.array(traj.y)]
+    want = {name: [row[i].hex() for row in rows] for i, name in enumerate(invs)}
     got = invariant_values(traj, invs, ttw_params)
     assert list(got) == list(want)
     for name in want:
-        assert got[name].dtype == want[name].dtype
-        assert got[name].tobytes() == want[name].tobytes()
+        assert all(type(v) is float for v in got[name])
+        assert [v.hex() for v in got[name]] == want[name]
+
+
+@pytest.mark.parametrize("stride", [2, 3, 7, 200, 4999, 5000])
+def test_output_times_are_linspace_bit_for_bit(line_space, stride):
+    """The output times of a completed flow are ``np.linspace(0, t_final,
+    stride)``, also where the step underflows to 0 (a subnormal t_final)."""
+    pt = PhasePoint.make(line_space, {"x": 0.5, "p_x": 0.0})
+    rng = random.Random(f"linspace-{stride}")
+    finals = [5e-324, 1e-323, 1e-320, 2.2250738585072014e-308, 1e-300, 1 / 3, 1.0,
+              2 * math.pi, 8.0, 40.0, 100.0, 1e300, 1.7976931348623157e308]
+    finals += [rng.random() * 10.0 ** rng.uniform(-320, 300) for _ in range(10)]
+    for t_final in finals:
+        cfg = TrajectoryConfig(initial=pt, t_final=t_final, stride=stride)
+        traj = integrate_adaptive(cfg, lambda t, y: [0.0, 0.0])
+        with np.errstate(over="ignore"):  # numpy scales its last entry too, then sets it
+            want = np.linspace(0.0, t_final, stride).tolist()
+        assert traj.success
+        assert [t.hex() for t in traj.t] == [t.hex() for t in want], t_final
+
+
+def test_drift_matches_numpys_max_and_keeps_nan(line_space):
+    """``max_drift`` is bitwise ``np.max(np.abs(vals - vals[0]))`` over the
+    column, scaled as documented: a NaN in any row, not only in row 0,
+    gives a NaN drift, as ``np.max`` does."""
+    rng = random.Random(17)
+    base = [rng.uniform(-3.0, 3.0) for _ in range(9)]
+    columns = {"plain": base, "tiny": [v * 1e-12 for v in base],
+               "nan_first": [math.nan] + base[1:], "nan_middle": base[:4] + [math.nan] + base[5:],
+               "nan_last": base[:-1] + [math.nan], "inf_middle": base[:4] + [math.inf] + base[5:],
+               "inf_first": [-math.inf] + base[1:], "awkward": AWKWARD}
+    traj = Trajectory(space=line_space, t=[], y=[], success=True, message="", nfev=0)
+    report = monitor_invariants(traj, columns)
+    with np.errstate(invalid="ignore"):
+        for name, vals in columns.items():
+            dev = np.max(np.abs(np.array(vals) - vals[0]))
+            want = dev / abs(vals[0]) if abs(vals[0]) >= 1e-10 else dev
+            assert report.drift(name).hex() == float(want).hex(), name
+            assert report.entries[name]["initial"].hex() == vals[0].hex()
+    for name in ("nan_first", "nan_middle", "nan_last"):
+        assert math.isnan(report.drift(name))
