@@ -12,8 +12,9 @@ OPTIONS declares each command's options once, with types and defaults:
 each is a flag and, for build, verify and simulate, a --config key.  Every
 other option is refused by name, as are the inline model's options and a
 schema-less --A on a catalog model.  Each command loads only the numeric
-stack it uses: build and simulate load neither numpy nor scipy, verify
-numpy (for its rank check) but not scipy.
+stack it uses: build and simulate load none of numpy, scipy and mpmath,
+verify numpy (for its rank check) and mpmath (for its 50-digit checks)
+but not scipy.
 
 An --out that cannot be written is refused before any work is done.
 
@@ -65,7 +66,10 @@ class _Parser(argparse.ArgumentParser):
 # Each command's options: name -> (type, default[, argparse keywords]).  The
 # flag is --name with "_" spelled "-".  A --config value is null only where
 # the default is None ("not given").  ``param`` collects NAME=VALUE entries,
-# which a --config file may also give as a mapping.
+# which a --config file may also give as a mapping.  Each default lives in
+# one place: verify's are read from VerifySettings, and simulate's --tol and
+# --stride are None here so that TrajectoryConfig fills them in (cli does
+# not import dynamics).
 _MODEL = {
     "model": (str, "ttw", {"help": "catalog name (ttw, cage, harmonic) or 'inline'"}),
     "m": (int, 1),
@@ -85,11 +89,12 @@ _NUMERIC = {
 }
 OPTIONS: Dict[str, Dict[str, tuple]] = {
     "build": _MODEL,
-    "verify": {**_MODEL, **_NUMERIC, "samples": (int, 100), "precision": (int, 50),
-               "seed": (int, 20240901),
+    "verify": {**_MODEL, **_NUMERIC, "samples": (int, VerifySettings.samples),
+               "precision": (int, VerifySettings.precision),
+               "seed": (int, VerifySettings.rng_seed),
                "inject_defect": (str, None, {"choices": ("omega-shift",), "help":
                                              "test-only tampering of the first integral"})},
-    "simulate": {**_MODEL, **_NUMERIC, "t_final": (float, 100.0), "stride": (int, 200),
+    "simulate": {**_MODEL, **_NUMERIC, "t_final": (float, 100.0), "stride": (int, None),
                  "x0": (str, None, {"help": "comma list like q=0.6,u=0.9,p_q=0.4,p_u=-0.3"})},
     "catalog": {},
     "solve-linear": {"c": (str, "1"), "a1": (str, "1"), "a2": (str, "0"), "c1": (str, "sym"),
@@ -233,7 +238,7 @@ def make_config(argv: Sequence[str]) -> argparse.Namespace:
         value = vars(cfg).get(name)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{_flags([name])} must be positive and finite, got {value}")
-    if command == "simulate" and cfg.stride < 2:
+    if command == "simulate" and cfg.stride is not None and cfg.stride < 2:
         raise ConfigError(f"--stride must be at least 2, got {cfg.stride}")
     if vars(cfg).get("out"):
         _check_out(cfg)
@@ -411,9 +416,9 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         dynamics.validate_initial_point(point, list(invariants.values()), params)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    tol = cfg.tol if cfg.tol is not None else dynamics.TrajectoryConfig.tol
-    traj_cfg = dynamics.TrajectoryConfig(initial=point, t_final=cfg.t_final,
-                                         tol=tol, stride=cfg.stride)
+    # --tol and --stride default to TrajectoryConfig's own values
+    given = {k: vars(cfg)[k] for k in ("tol", "stride") if vars(cfg)[k] is not None}
+    traj_cfg = dynamics.TrajectoryConfig(initial=point, t_final=cfg.t_final, **given)
     field = dynamics.hamiltons_equations(model.Hbar, params)
     traj = dynamics.integrate_adaptive(traj_cfg, field)
     values = dynamics.invariant_values(traj, invariants, params)

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import mpmath
-
 from .params import (PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _product, accumulate,
                      as_parampoly, as_q, from_numerators, join_signed, power)
 
@@ -952,17 +950,13 @@ class CanonicalCoeff:
 
 def to_mpf(x):
     """``x`` as an mpf; a rational becomes numerator / denominator."""
+    import mpmath  # the 50-digit path only: build and simulate never load it
+
     if isinstance(x, (int, float)):
         return mpmath.mpf(x)
     if hasattr(x, "numerator") and not isinstance(x, mpmath.mpf):
         return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
     return mpmath.mpf(x)
-
-
-_FUNCS = {
-    float: {"sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh},
-    to_mpf: {"sin": mpmath.sin, "cos": mpmath.cos, "sinh": mpmath.sinh, "cosh": mpmath.cosh},
-}
 
 
 def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
@@ -991,29 +985,35 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
       below ``guard`` the function raises SingularEvaluation, otherwise a
       term is ``num / den * p**e * ...``.  The default guard is 1e-12, or
       the mpf 10^(10 - prec) with ``prec``; a guard of 0 compiles no check.
+
+    In floats the walk emits Python source with infix operators.  With
+    ``prec`` it emits a tape instead: one ``(function, dst, a, b)`` entry
+    per operation, where the function is the ``mpmath.libmp`` routine that
+    the mpf operator would call (``mpf_mul``, ``mpf_add``, ``mpf_div``,
+    ``mpf_pow_int``, ``mpf_sin``, ...) and ``dst``, ``a``, ``b`` index a
+    list of raw mpf tuples.  One loop runs the tape per call, with the
+    precision and rounding of ``workdps(prec)``, and so skips the mpf
+    wrapper objects that cost as much as the arithmetic.  Two operations
+    are left out because they return their operand unchanged: the leading
+    ``0 +`` of each sum, and a product with a constant equal to 1.  Every
+    operand is already rounded to the working precision (coordinates go
+    through ``to_mpf`` under ``workdps(prec)``), and ``0 + x`` and ``1 * x``
+    round such an ``x`` to itself, infinities and NaN included, so the
+    values stay bitwise those of the operator chain.  The function's
+    ``source`` is the float source or a listing of the tape.
     """
     if prec is None:
-        return _compile(sys, targets, params, 1e-12 if guard is None else guard,
-                        momenta, float)
-    with mpmath.workdps(prec):
-        if guard is None:
-            guard = mpmath.mpf(10) ** (-prec + 10)
-        fn = _compile(sys, targets, params, guard, momenta, to_mpf)
-
-    def call(*coords):
-        with mpmath.workdps(prec):
-            return fn(*coords)
-
-    call.source = fn.source  # type: ignore[attr-defined]
-    return call
+        return _compile(sys, targets, params, 1e-12 if guard is None else guard, momenta)
+    return _compile_tape(sys, targets, params, guard, momenta, prec)
 
 
-def _compile(sys: VarSystem, targets, params, guard, momenta: int, conv) -> Callable:
+def _compile(sys: VarSystem, targets, params, guard, momenta: int) -> Callable:
     def below(d) -> SingularEvaluation:
         # the message is built here, on failure only, to keep the source small
         return SingularEvaluation(f"denominator magnitude {d} below guard {guard}")
 
-    ns: Dict[str, object] = dict(_FUNCS[conv], cv=conv, Z=conv(0), G=guard, below=below)
+    ns: Dict[str, object] = dict(sin=math.sin, cos=math.cos, sinh=math.sinh, cosh=math.cosh,
+                                 cv=float, Z=0.0, G=guard, below=below)
     ids = itertools.count()
     lines: List[str] = []
 
@@ -1038,11 +1038,9 @@ def _compile(sys: VarSystem, targets, params, guard, momenta: int, conv) -> Call
             lines.append(f"g{i} = cv(a{i})")
             gens.append(f"g{i}")
             continue
-        rate = conv(v.rate.numerator) / conv(v.rate.denominator)
-        tag = conv(v.tag.numerator) / conv(v.tag.denominator)
-        size = tag if v.tag > 0 else -tag
-        root = math.sqrt(size) if conv is float else size ** conv("0.5")
-        r, t = bind(rate), bind(root)
+        rate = float(v.rate.numerator) / float(v.rate.denominator)
+        tag = float(v.tag.numerator) / float(v.tag.denominator)
+        r, t = bind(rate), bind(math.sqrt(tag if v.tag > 0 else -tag))
         s_fn, c_fn = ("sin", "cos") if v.tag > 0 else ("sinh", "cosh")
         lines.append(f"w = {r} * cv(a{i})")
         lines.append(f"c{i} = {c_fn}({t} * w)")
@@ -1054,7 +1052,7 @@ def _compile(sys: VarSystem, targets, params, guard, momenta: int, conv) -> Call
     def total(p: Poly) -> str:
         expr = "Z"
         for m, pp in p.terms.items():
-            factors = [bind(pp.evaluate(params, conv))]
+            factors = [bind(pp.evaluate(params, float))]
             factors += [power(gens[slot], e) for slot, e in enumerate(m) if e]
             expr += " + " + " * ".join(factors)
         return f"({expr})"
@@ -1084,3 +1082,149 @@ def _compile(sys: VarSystem, targets, params, guard, momenta: int, conv) -> Call
     fn = ns["evaluate"]
     fn.source = src  # type: ignore[attr-defined]
     return fn
+
+
+def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: int) -> Callable:
+    # the same walk as ``_compile``, lowered to libmp calls on raw mpf tuples
+    import mpmath
+    from mpmath import libmp
+
+    make_mpf = mpmath.mp.make_mpf
+    with mpmath.workdps(prec):
+        bits = mpmath.mp.prec
+        if guard is None:
+            guard = mpmath.mpf(10) ** (-prec + 10)
+        regs: List[object] = []   # initial register values: the constants, else None
+        names: List[str] = []
+        tape: List[tuple] = []
+        listing: List[str] = []
+
+        def reg(name: str, value=None) -> int:
+            regs.append(value)
+            names.append(name)
+            return len(regs) - 1
+
+        interned: Dict[object, int] = {}
+
+        def const(value) -> int:
+            # a raw mpf, or an int exponent (listed as itself)
+            if value not in interned:
+                name = str(value) if type(value) is int else f"k{len(interned)}"
+                interned[value] = reg(name, value)
+            return interned[value]
+
+        def op(fn: str, a: int, b: Optional[int] = None, name: Optional[str] = None) -> int:
+            # fn names the libmp export, which the listing shows
+            dst = reg(name or f"t{len(tape)}")
+            tape.append((getattr(libmp, fn), dst, a, b))
+            args = names[a] if b is None else f"{names[a]}, {names[b]}"
+            listing.append(f"{names[dst]} = {fn}({args})")
+            return dst
+
+        ZERO, ONE = const(libmp.fzero), const(libmp.fone)
+
+        def add(a: int, b: int) -> int:
+            return b if a == ZERO else op("mpf_add", a, b)
+
+        def mul(a: int, b: int) -> int:
+            if a == ONE or b == ONE:
+                return b if a == ONE else a
+            return op("mpf_mul", a, b)
+
+        powers: Dict[Tuple[int, int], int] = {}
+
+        def power(base: int, e: int) -> int:
+            if e == 1:
+                return base
+            if (base, e) not in powers:
+                powers[base, e] = op("mpf_pow_int", base, const(e), f"{names[base]}_{e}")
+            return powers[base, e]
+
+        evaluated: Dict[Tuple[int, tuple], int] = {}
+
+        def constant(pp: ParamPoly) -> int:
+            # one evaluation per distinct parameter polynomial
+            key = (pp.den, tuple(pp.nums.items()))
+            if key not in evaluated:
+                evaluated[key] = const(pp.evaluate(params, to_mpf)._mpf_)
+            return evaluated[key]
+
+        coords: List[int] = []    # the register of each argument
+        gens: List[int] = []      # the register of the generator in each monomial slot
+        for i, v in enumerate(sys.vars):
+            if v.is_linear:
+                coords.append(reg(f"g{i}"))
+                gens.append(coords[-1])
+                continue
+            coords.append(reg(f"a{i}"))
+            tag = to_mpf(v.tag)
+            r = const(to_mpf(v.rate)._mpf_)
+            t = const(((tag if v.tag > 0 else -tag) ** mpmath.mpf("0.5"))._mpf_)
+            s_fn, c_fn = ("mpf_sin", "mpf_cos") if v.tag > 0 else ("mpf_sinh", "mpf_cosh")
+            w = mul(r, coords[-1])
+            gens.append(op(c_fn, mul(t, w), name=f"c{i}"))
+            gens.append(op("mpf_div", op(s_fn, mul(t, w)), t, f"s{i}"))
+        moms = [reg(f"p{i}") for i in range(momenta)]
+        coords += moms
+
+        def total(p: Poly) -> int:
+            acc = ZERO
+            for m, pp in p.terms.items():
+                term = constant(pp)
+                for slot, e in enumerate(m):
+                    if e:
+                        term = mul(term, power(gens[slot], e))
+                acc = add(acc, term)
+            return acc
+
+        G = reg("G", mpmath.mpf(guard)._mpf_)
+
+        def guarded(d, g, bits, rnd):
+            # abs(d) < G; the message is formatted under the call's workdps(prec)
+            if libmp.mpf_lt(libmp.mpf_abs(d, bits, rnd), g):
+                raise SingularEvaluation(
+                    f"denominator magnitude {make_mpf(d)} below guard {guard}")
+            return d
+
+        def fraction(c: CanonicalCoeff) -> int:
+            d = total(Poly.from_mono(sys, c.den_mono))
+            for f, k in c.den_factors:
+                d = mul(d, total(f) if k == 1 else op("mpf_pow_int", total(f), const(k)))
+            if guard > 0:  # abs(d) < G never holds for G <= 0, not even for a NaN d
+                tape.append((guarded, d, d, G))
+                listing.append(f"guard({names[d]}, G)")
+            return op("mpf_div", total(c.num), d)
+
+        outs: List[int] = []
+        for target in targets:
+            if isinstance(target, CanonicalCoeff):
+                outs.append(fraction(target))
+                continue
+            acc = ZERO
+            for pe, c in target:
+                value = fraction(c)
+                for i, e in enumerate(pe):
+                    if e:
+                        value = mul(value, power(moms[i], e))
+                acc = add(acc, value)
+            outs.append(acc)
+
+    listing.insert(0, ", ".join(names[i] for i in coords) + " = to_mpf(coordinates)")
+    listing.append("return [" + ", ".join(names[i] for i in outs) + "]")
+    rnd = libmp.round_nearest
+    workdps = mpmath.workdps
+    arity = len(coords)
+
+    def evaluate(*xs):
+        if len(xs) != arity:
+            raise TypeError(f"evaluate() takes {arity} coordinates, got {len(xs)}")
+        r = regs.copy()
+        with workdps(prec):
+            for i, x in zip(coords, xs):
+                r[i] = to_mpf(x)._mpf_
+            for f, dst, a, b in tape:
+                r[dst] = f(r[a], bits, rnd) if b is None else f(r[a], r[b], bits, rnd)
+        return [make_mpf(r[i]) for i in outs]
+
+    evaluate.source = "\n".join(listing) + "\n"  # type: ignore[attr-defined]
+    return evaluate

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import mpmath
-
 from .coeffs import SingularEvaluation
 from .models import ModelSpec, golden_K21
 from .phase import PhasePoint, PhaseSpace, PPoly, apply_XL, poisson_bracket
@@ -177,6 +175,9 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
     The bracket is recombined numerically from symbolic partials, so a
     symbolically-zero pair exercises genuine floating cancellation.
     """
+    # mpmath only on the 50-digit path, so that build and simulate start without it
+    import mpmath
+
     dim = H.space.dim
     grads = H.space.compile(_gradient(H) + _gradient(K), params, precision)
     worst = mpmath.mpf(0)
@@ -236,6 +237,8 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
     rejected).  The symbolic route cross-multiplies one matched monomial
     pair and runs the exact zero test, certifying global proportionality.
     """
+    import mpmath
+
     if golden.is_zero:
         raise ValueError("golden expression is identically zero")
     symbolic_ok: Optional[bool] = None

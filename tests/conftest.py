@@ -11,6 +11,9 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a deeper search for CI: pytest --hypothesis-profile=hamext-deep, which the
+# hypothesis plugin loads after this file, over the default below
+settings.register_profile("hamext-deep", settings.get_profile("hamext"), max_examples=400)
 settings.load_profile("hamext")
 
 

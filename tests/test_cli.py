@@ -350,6 +350,34 @@ def test_simulate_reports_solver_work(capsys, monkeypatch):
     assert "steps" not in doc
 
 
+def test_cli_defaults_are_the_library_defaults(capsys, monkeypatch):
+    """verify's --samples, --precision, --seed and --tol, and simulate's --tol
+    and --stride, default to the values of VerifySettings and
+    TrajectoryConfig, which state each default once."""
+    from dataclasses import fields
+
+    from hamext import dynamics
+    from hamext.verify import VerifySettings
+
+    cfg, lib = make_config(["verify"]), VerifySettings()
+    assert (cfg.samples, cfg.precision, cfg.seed, cfg.tol) == \
+        (lib.samples, lib.precision, lib.rng_seed, lib.tol)
+    configs = []
+    integrate = dynamics.integrate_adaptive
+
+    def spy(traj_cfg, field):
+        configs.append(traj_cfg)
+        return integrate(traj_cfg, field)
+
+    monkeypatch.setattr(dynamics, "integrate_adaptive", spy)
+    assert run(["simulate", "--model", "harmonic", "--param", "L0=1/2",
+                "--t-final", "0.5"]) == EXIT_OK
+    defaults = {f.name: f.default for f in fields(dynamics.TrajectoryConfig)}
+    (traj_cfg,) = configs
+    assert (traj_cfg.tol, traj_cfg.stride) == (defaults["tol"], defaults["stride"])
+    assert json.loads(capsys.readouterr().out)["samples"] == defaults["stride"]
+
+
 def test_simulate_singular_initial_refused(capsys):
     rc = run(["simulate", "--model", "ttw",
               "--x0", "q=0.0,u=0.8,p_q=0.4,p_u=0.1"])

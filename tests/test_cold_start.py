@@ -1,9 +1,9 @@
 """Each command loads only the numeric stack it uses.
 
-``build`` needs neither numpy nor scipy nor the flat zero test,
-``verify`` needs numpy (its rank check) but not scipy, and ``simulate``
-needs neither: the integrator is ``hamext._dop853``, and its rows stay
-Python floats up to the files.  Every case runs in a fresh interpreter,
+``build`` needs neither numpy nor scipy nor mpmath nor the flat zero test,
+``verify`` needs numpy (its rank check) and mpmath (its 50-digit checks)
+but not scipy, and ``simulate`` needs none of the three: the integrator is
+``hamext._dop853``, and its rows stay Python floats up to the files.  Every case runs in a fresh interpreter,
 because this test process imported both long ago.  A blocked module is
 set to ``None`` in ``sys.modules``, so importing it raises ImportError.
 An import that nothing reads is refused everywhere.
@@ -55,8 +55,21 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert out.decode().strip() == "[]"
 
 
-def test_build_runs_without_numpy_and_scipy():
-    assert _hamext(BUILD, blocked=("numpy", "scipy", "hamext.flat")) == _hamext(BUILD)
+def test_cli_import_loads_no_mpmath():
+    out = _python("-c", "import sys, hamext.cli\n"
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))")
+    assert out.decode().strip() == "[]"
+
+
+def test_build_runs_without_numpy_and_scipy(tmp_path):
+    """The same stdout and --out file with numpy, scipy, mpmath and the
+    flat zero test blocked."""
+    outs = [tmp_path / "blocked.json", tmp_path / "free.json"]
+    assert _hamext(BUILD + ["--out", str(outs[0])],
+                   blocked=("numpy", "scipy", "mpmath", "hamext.flat")) == \
+        _hamext(BUILD + ["--out", str(outs[1])])
+    blocked, free = (out.read_bytes() for out in outs)
+    assert blocked == free and blocked
 
 
 def test_verify_runs_without_scipy():
@@ -64,9 +77,10 @@ def test_verify_runs_without_scipy():
 
 
 def test_simulate_runs_without_numpy_and_scipy(tmp_path):
-    """The same stdout, trajectory and drift files with both blocked."""
+    """The same stdout, trajectory and drift files with numpy, scipy and
+    mpmath blocked."""
     outs = [str(tmp_path / "blocked"), str(tmp_path / "free")]
-    assert _hamext(SIMULATE + ["--out", outs[0]], blocked=("numpy", "scipy")) == \
+    assert _hamext(SIMULATE + ["--out", outs[0]], blocked=("numpy", "scipy", "mpmath")) == \
         _hamext(SIMULATE + ["--out", outs[1]])
     for suffix in (".traj.tsv", ".drift.json"):
         blocked, free = (Path(out + suffix).read_bytes() for out in outs)

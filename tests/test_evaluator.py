@@ -223,22 +223,83 @@ def test_singular_points_agree():
         F.evaluate({"q": 0.4, "u": 1e-13, "p_q": 1.0, "p_u": 0.0}, PARAM_VALUES)
 
 
+def test_singular_messages_agree():
+    """A rejected point raises with the reference chain's message; at 50
+    digits the denominator is printed at 50 digits, not at 15."""
+    sys = SYSTEMS["circular"]
+    space = SPACES["circular"]
+    u, S = sys.coord("u"), sys.S("q")
+    F = space.lift(sys.one() / (u + S) ** 2) * space.p("q") + space.lift(S / u)
+    for pt, guard in [({"q": 0.4, "u": 1e-45, "p_q": 1.0, "p_u": 0.0}, None),
+                      ({"q": 0.4, "u": -math.sin(0.4), "p_q": 1.0, "p_u": 0.0}, 1e-3),
+                      ({"q": 0.4, "u": 0.01, "p_q": 1.0, "p_u": 0.0}, 0.05)]:
+        for prec in (None, 50):
+            with pytest.raises(SingularEvaluation) as want:
+                ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard)
+            with pytest.raises(SingularEvaluation) as got:
+                F.evaluate(pt, PARAM_VALUES, prec, guard)
+            assert str(got.value) == str(want.value)
+    assert str(got.value) == ("denominator magnitude "
+                              "0.010000000000000000208166817117216851329430937767029 "
+                              "below guard 0.05")
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_values_do_not_depend_on_the_callers_precision(name):
+    """At 50 digits, compiling and calling inside ``workdps(15)`` or
+    ``workdps(80)`` gives bitwise the reference values and verdicts."""
+    @given(_ppoly_case(name))
+    def check(case):
+        F, pt, guard, _ = case
+        want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, 50, guard))
+        values = [pt[n] for n in F.space.coordinate_names]
+        fn = F.compile(PARAM_VALUES, 50, guard)
+        for dps in (15, 80):
+            with mpmath.workdps(dps):
+                assert outcome(lambda: fn(*values)) == want
+                assert outcome(lambda: F.compile(PARAM_VALUES, 50, guard)(*values)) == want
+
+    check()
+
+
+SPECIAL_POINTS = [{"q": math.nan, "u": 0.5}, {"q": 0.4, "u": math.nan},
+                  {"q": math.inf, "u": 0.5}, {"q": 0.4, "u": -math.inf},
+                  {"q": 1, "u": -2}, {"q": 0, "u": 3},
+                  {"q": Q(2, 5), "u": Q(-7, 3)}, {"q": Q(1, 3), "u": 1}]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_special_coordinates_match_reference(name):
+    """NaN and infinite coordinates, and int and ``Fraction`` point values,
+    give the reference chain's 50-digit value or verdict."""
+    @given(coeff_strategy(SYSTEMS[name]), st.sampled_from(SPECIAL_POINTS))
+    def check(c, pt):
+        want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, prec=50))
+        assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
+
+    check()
+
+
 def test_zero_guard_compiles_no_check():
     """``abs(d) < 0`` never holds, not even for a NaN ``d``, so a guard of 0
-    compiles no check line; a positive guard keeps it and still raises."""
+    compiles no check: no line of the float source and no op of the 50-digit
+    tape.  A positive guard keeps one per denominator and still raises."""
     sys = SYSTEMS["circular"]
     space = SPACES["circular"]
     u, S = sys.coord("u"), sys.S("q")
     F = space.lift(sys.one() / (u + S) ** 2) * space.p("q") + space.lift(S / u)
     near = {"q": 0.4, "u": 0.01, "p_q": 1.0, "p_u": 0.0}
     values = [near[n] for n in space.coordinate_names]
-    for prec in (None, 50):
-        assert "abs(d) < G" not in space.compile([F], PARAM_VALUES, prec, 0.0).source
-        assert "abs(d) < G" in space.compile([F], PARAM_VALUES, prec, 0.05).source
+    checks = {None: "if abs(d) < G: raise below(d)", 50: "guard("}
+    counts = {}
+    for prec, check in checks.items():
+        assert check not in space.compile([F], PARAM_VALUES, prec, 0.0).source
+        counts[prec] = space.compile([F], PARAM_VALUES, prec, 0.05).source.count(check)
         with pytest.raises(SingularEvaluation):
             F.compile(PARAM_VALUES, prec, 0.05)(*values)
         want = outcome(lambda: ref_ppoly_evaluate(F, near, PARAM_VALUES, prec, 0.0))
         assert outcome(lambda: F.compile(PARAM_VALUES, prec, 0.0)(*values)) == want
+    assert counts[None] == counts[50] == 2
     nan = dict(near, u=math.nan)
     got = F.compile(PARAM_VALUES, None, 0.0)(*[nan[n] for n in space.coordinate_names])
     assert math.isnan(got)
@@ -325,22 +386,27 @@ def test_joint_function_matches_each_alone(name):
 
 def test_joint_source_binds_each_power_once():
     """Each distinct power of a generator or momentum is one line of the
-    source, bound before the first line that reads it; the generators are
-    computed once."""
+    float source and one op of the 50-digit tape, bound before the first
+    line that reads it; the generators are computed once."""
     space = SPACES["tag-3-rate-2/5"]
     sys = space.system
     u, S, C = sys.coord("u"), sys.S("q"), sys.C("q")
     p, pu = space.p("q"), space.p("u")
     Fs = [space.lift(S ** 3 * u ** 2 / (u + C) ** 2) * p ** 2 + space.lift(C ** 2 * S ** 3),
           space.lift(S ** 2 + u ** 3) * p ** 2 * pu ** 3 + space.lift(S ** 3 / u ** 2) * pu]
-    for prec in (None, 50):
+    # per precision: a power as the source writes it, its binding line, and sin
+    forms = {None: (r"\b([cgsp]\d+) \*\* (\d+)", "    {0}_{1} = {0} ** {1}", "sin("),
+             50: (r"\bmpf_pow_int\(([cgsp]\d+), (\d+)\)", "{0}_{1} = mpf_pow_int({0}, {1})",
+                  "mpf_sin(")}
+    for prec, (power, binding, sin) in forms.items():
         src = space.compile(Fs, PARAM_VALUES, prec).source
         lines = src.splitlines()
-        powers = re.findall(r"\b([cgsp]\d+) \*\* (\d+)", src)
+        powers = re.findall(power, src)
         assert len(powers) == len(set(powers)) >= 6
         for base, e in powers:
             local = f"{base}_{e}"
-            bound = lines.index(f"    {local} = {base} ** {e}")
+            bound = lines.index(binding.format(base, e))
             first = min(i for i, ln in enumerate(lines) if re.search(rf"\b{local}\b", ln))
             assert bound == first
-        assert src.count("cos(") == src.count("sin(") == 1
+        cos = sin.replace("sin", "cos")
+        assert src.count(cos) == src.count(sin) == 1
