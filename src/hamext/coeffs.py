@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .params import (PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _product, accumulate,
-                     as_parampoly, as_q, from_numerators, join_signed, power)
+from .params import (PARAMS, PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _product,
+                     accumulate, as_parampoly, as_q, from_numerators, join_signed, power)
 
 Mono = Tuple[int, ...]
 
@@ -993,14 +993,38 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
     ``mpf_pow_int``, ``mpf_sin``, ...) and ``dst``, ``a``, ``b`` index a
     list of raw mpf tuples.  One loop runs the tape per call, with the
     precision and rounding of ``workdps(prec)``, and so skips the mpf
-    wrapper objects that cost as much as the arithmetic.  Two operations
-    are left out because they return their operand unchanged: the leading
-    ``0 +`` of each sum, and a product with a constant equal to 1.  Every
-    operand is already rounded to the working precision (coordinates go
-    through ``to_mpf`` under ``workdps(prec)``), and ``0 + x`` and ``1 * x``
-    round such an ``x`` to itself, infinities and NaN included, so the
-    values stay bitwise those of the operator chain.  The function's
-    ``source`` is the float source or a listing of the tape.
+    wrapper objects that cost as much as the arithmetic.  The constants
+    are computed by the same libmp calls on raw values, with each
+    parameter value converted once and each power of it taken once.  The
+    function's ``source`` is the float source or a listing of the tape.
+
+    Both leave out what cannot change a value:
+
+    * a product with a constant equal to 1, and a division by a root of 1:
+      ``1 * x`` and ``x / 1`` are ``x`` for every float, -0.0, infinities
+      and NaN included, and for every mpf already rounded to the working
+      precision, as every operand is (coordinates go through ``to_mpf``
+      under ``workdps(prec)``);
+    * the leading ``0 +`` of each sum on the tape, which rounds such an mpf
+      to itself.  In floats ``0.0 + x`` is ``x`` except that it turns -0.0
+      into 0.0, so only the numerator of a polynomial's term leaves it out:
+      a zero numerator gives a zero or NaN term whatever its sign, and the
+      polynomial's sum, which starts from 0.0 and so is never -0.0, adds it
+      to the same value.  A denominator keeps it where a guard is compiled,
+      whose SingularEvaluation message prints it; without a guard only
+      whether it is zero matters, as ``x / d`` raises for 0.0 and -0.0
+      alike.  A coefficient's numerator keeps it, since the coefficient's
+      value is the quotient itself;
+    * the work of a fraction whose numerator and denominator hold no
+      generator: it is computed once, by the same operations, when it
+      compiles, unless its denominator is 0, below the guard or (in floats)
+      overflows, which stays in the function so that each call raises as
+      before.  On the tape
+      every op whose operands are all constants is folded this way, and a
+      guard on a constant is checked when it compiles;
+    * on the tape, an op that repeats an earlier op on the same registers
+      (value numbering: it reuses that op's register), and a second guard
+      on one register, which the first guard already passed.
     """
     if prec is None:
         return _compile(sys, targets, params, 1e-12 if guard is None else guard, momenta)
@@ -1032,6 +1056,10 @@ def _compile(sys: VarSystem, targets, params, guard, momenta: int) -> Callable:
             lines.append(f"{name} = {base} ** {e}")
         return base if e == 1 else name
 
+    def product(factors: List[str]) -> str:
+        # left to right, without a constant bound to 1.0: 1.0 * x is x for every float
+        return " * ".join([f for f in factors if ns.get(f) != 1.0] or factors[:1])
+
     gens: List[str] = []  # source name of the generator in each monomial slot
     for i, v in enumerate(sys.vars):
         if v.is_linear:
@@ -1042,38 +1070,52 @@ def _compile(sys: VarSystem, targets, params, guard, momenta: int) -> Callable:
         tag = float(v.tag.numerator) / float(v.tag.denominator)
         r, t = bind(rate), bind(math.sqrt(tag if v.tag > 0 else -tag))
         s_fn, c_fn = ("sin", "cos") if v.tag > 0 else ("sinh", "cosh")
-        lines.append(f"w = {r} * cv(a{i})")
-        lines.append(f"c{i} = {c_fn}({t} * w)")
-        lines.append(f"s{i} = {s_fn}({t} * w) / {t}")
+        w = product([r, f"cv(a{i})"])
+        lines.append(f"w = {w}" if ns[t] == 1.0 else f"w = {t} * ({w})")
+        lines.append(f"c{i} = {c_fn}(w)")
+        lines.append(f"s{i} = {s_fn}(w)" + ("" if ns[t] == 1.0 else f" / {t}"))  # x / 1.0 is x
         gens += [f"c{i}", f"s{i}"]
     npos = len(sys.vars)
     lines += [f"p{i} = cv(a{npos + i})" for i in range(momenta)]
 
-    def total(p: Poly) -> str:
-        expr = "Z"
-        for m, pp in p.terms.items():
-            factors = [bind(pp.evaluate(params, float))]
-            factors += [power(gens[slot], e) for slot, e in enumerate(m) if e]
-            expr += " + " + " * ".join(factors)
-        return f"({expr})"
+    def total(p: Poly, lead: bool = True) -> str:
+        # the sum from Z, or (lead=False) from its first term
+        terms = [product([bind(pp.evaluate(params, float))]
+                         + [power(gens[slot], e) for slot, e in enumerate(m) if e])
+                 for m, pp in p.terms.items()]
+        return "(" + " + ".join(["Z"] * (lead or not terms) + terms) + ")"
 
-    def fraction(c: CanonicalCoeff) -> str:
-        den = total(Poly.from_mono(sys, c.den_mono))
+    def fraction(c: CanonicalCoeff, lead: bool) -> str:
+        # a guard's message prints d; without a guard only d == 0 matters
+        den = total(Poly.from_mono(sys, c.den_mono), guard > 0)
         for f, k in c.den_factors:
-            den += f" * {total(f)}" if k == 1 else f" * {total(f)} ** {k}"
+            den += f" * {total(f, guard > 0)}" + (f" ** {k}" if k > 1 else "")
+        polys = [c.num] + [f for f, _ in c.den_factors]
+        if not any(c.den_mono) and not any(any(m) for p in polys for m in p.terms):
+            # no generator: the quotient is a constant, computed here by the
+            # same source, unless the call has to raise
+            try:
+                d = eval(den, ns)
+                if d != 0 and not abs(d) < guard:
+                    return bind(eval(total(c.num, lead), ns) / d)
+            except OverflowError:  # a float ** overflowed: so does each call
+                pass
+        if not guard > 0:  # abs(d) < G never holds for G <= 0, not even for a NaN d
+            return f"{total(c.num, lead)} / ({den})"
         lines.append(f"d = {den}")
-        if guard > 0:  # abs(d) < G never holds for G <= 0, not even for a NaN d
-            lines.append("if abs(d) < G: raise below(d)")
-        return f"{total(c.num)} / d"
+        lines.append("if abs(d) < G: raise below(d)")
+        return f"{total(c.num, lead)} / d"
 
     for j, target in enumerate(targets):
         if isinstance(target, CanonicalCoeff):
-            lines.append(f"v{j} = {fraction(target)}")
+            lines.append(f"v{j} = {fraction(target, lead=True)}")
             continue
         lines.append(f"v{j} = Z")
         for pe, c in target:
-            value = fraction(c)
-            value += "".join(f" * {power(f'p{i}', e)}" for i, e in enumerate(pe) if e)
+            # a zero numerator gives a zero term, of either sign, and the sum
+            # from Z absorbs it, so the numerator needs no Z to fix its sign
+            value = product([fraction(c, lead=False)]
+                            + [power(f"p{i}", e) for i, e in enumerate(pe) if e])
             lines.append(f"v{j} = v{j} + {value}")
     lines.append("return [" + ", ".join(f"v{j}" for j in range(len(targets))) + "]")
     args = ", ".join(f"a{i}" for i in range(npos + momenta))
@@ -1090,6 +1132,7 @@ def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: in
     from mpmath import libmp
 
     make_mpf = mpmath.mp.make_mpf
+    rnd = libmp.round_nearest
     with mpmath.workdps(prec):
         bits = mpmath.mp.prec
         if guard is None:
@@ -1113,13 +1156,25 @@ def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: in
                 interned[value] = reg(name, value)
             return interned[value]
 
+        numbered: Dict[tuple, int] = {}
+
         def op(fn: str, a: int, b: Optional[int] = None, name: Optional[str] = None) -> int:
-            # fn names the libmp export, which the listing shows
-            dst = reg(name or f"t{len(tape)}")
-            tape.append((getattr(libmp, fn), dst, a, b))
-            args = names[a] if b is None else f"{names[a]}, {names[b]}"
-            listing.append(f"{names[dst]} = {fn}({args})")
-            return dst
+            # fn names the libmp export, which the listing shows.  An op on
+            # constants is a constant, unless it raises, and an op already on
+            # the tape gives that op's register.
+            f = getattr(libmp, fn)
+            if regs[a] is not None and (b is None or regs[b] is not None):
+                try:
+                    return const(f(regs[a], bits, rnd) if b is None
+                                 else f(regs[a], regs[b], bits, rnd))
+                except ZeroDivisionError:
+                    pass  # left on the tape, so that each call raises
+            if (fn, a, b) not in numbered:
+                dst = numbered[fn, a, b] = reg(name or f"t{len(tape)}")
+                tape.append((f, dst, a, b))
+                args = names[a] if b is None else f"{names[a]}, {names[b]}"
+                listing.append(f"{names[dst]} = {fn}({args})")
+            return numbered[fn, a, b]
 
         ZERO, ONE = const(libmp.fzero), const(libmp.fone)
 
@@ -1131,22 +1186,38 @@ def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: in
                 return b if a == ONE else a
             return op("mpf_mul", a, b)
 
-        powers: Dict[Tuple[int, int], int] = {}
-
         def power(base: int, e: int) -> int:
-            if e == 1:
-                return base
-            if (base, e) not in powers:
-                powers[base, e] = op("mpf_pow_int", base, const(e), f"{names[base]}_{e}")
-            return powers[base, e]
+            return base if e == 1 else op("mpf_pow_int", base, const(e), f"{names[base]}_{e}")
+
+        # ParamPoly.evaluate(params, to_mpf) on raw mpf tuples: each parameter
+        # value is converted once, each power of it and each distinct
+        # parameter polynomial computed once, by the same libmp calls
+        converted: Dict[int, object] = {}
+        pvalues: Dict[Tuple[int, int], object] = {}
+
+        def pvalue(i: int, e: int):
+            if (i, e) not in pvalues:
+                if i not in converted:
+                    if PARAMS[i] not in params:
+                        raise KeyError(f"no value supplied for parameter {PARAMS[i]!r}")
+                    converted[i] = to_mpf(params[PARAMS[i]])._mpf_
+                pvalues[i, e] = libmp.mpf_pow_int(converted[i], e, bits, rnd)
+            return pvalues[i, e]
 
         evaluated: Dict[Tuple[int, tuple], int] = {}
 
         def constant(pp: ParamPoly) -> int:
-            # one evaluation per distinct parameter polynomial
             key = (pp.den, tuple(pp.nums.items()))
             if key not in evaluated:
-                evaluated[key] = const(pp.evaluate(params, to_mpf)._mpf_)
+                acc = libmp.fzero
+                for m, n in pp.nums.items():
+                    g = math.gcd(n, pp.den)
+                    term = libmp.mpf_div(libmp.from_int(n // g, bits, rnd),
+                                         libmp.from_int(pp.den // g, bits, rnd), bits, rnd)
+                    for i, e in m:
+                        term = libmp.mpf_mul(term, pvalue(i, e), bits, rnd)
+                    acc = libmp.mpf_add(acc, term, bits, rnd)
+                evaluated[key] = const(acc)
             return evaluated[key]
 
         coords: List[int] = []    # the register of each argument
@@ -1161,9 +1232,10 @@ def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: in
             r = const(to_mpf(v.rate)._mpf_)
             t = const(((tag if v.tag > 0 else -tag) ** mpmath.mpf("0.5"))._mpf_)
             s_fn, c_fn = ("mpf_sin", "mpf_cos") if v.tag > 0 else ("mpf_sinh", "mpf_cosh")
-            w = mul(r, coords[-1])
-            gens.append(op(c_fn, mul(t, w), name=f"c{i}"))
-            gens.append(op("mpf_div", op(s_fn, mul(t, w)), t, f"s{i}"))
+            w = mul(t, mul(r, coords[-1]))
+            gens.append(op(c_fn, w, name=f"c{i}"))
+            gens.append(op(s_fn, w, name=f"s{i}") if t == ONE  # x / 1 is x as well
+                        else op("mpf_div", op(s_fn, w), t, f"s{i}"))
         moms = [reg(f"p{i}") for i in range(momenta)]
         coords += moms
 
@@ -1186,13 +1258,18 @@ def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: in
                     f"denominator magnitude {make_mpf(d)} below guard {guard}")
             return d
 
+        checked = set()  # each register is guarded once, and a constant here
+
         def fraction(c: CanonicalCoeff) -> int:
             d = total(Poly.from_mono(sys, c.den_mono))
             for f, k in c.den_factors:
-                d = mul(d, total(f) if k == 1 else op("mpf_pow_int", total(f), const(k)))
-            if guard > 0:  # abs(d) < G never holds for G <= 0, not even for a NaN d
-                tape.append((guarded, d, d, G))
-                listing.append(f"guard({names[d]}, G)")
+                d = mul(d, power(total(f), k))
+            # abs(d) < G never holds for G <= 0, not even for a NaN d
+            if guard > 0 and d not in checked:
+                checked.add(d)
+                if regs[d] is None or libmp.mpf_lt(libmp.mpf_abs(regs[d], bits, rnd), regs[G]):
+                    tape.append((guarded, d, d, G))
+                    listing.append(f"guard({names[d]}, G)")
             return op("mpf_div", total(c.num), d)
 
         outs: List[int] = []
@@ -1211,7 +1288,6 @@ def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: in
 
     listing.insert(0, ", ".join(names[i] for i in coords) + " = to_mpf(coordinates)")
     listing.append("return [" + ", ".join(names[i] for i in outs) + "]")
-    rnd = libmp.round_nearest
     workdps = mpmath.workdps
     arity = len(coords)
 

@@ -9,19 +9,22 @@ the same type, at double precision and at 50 digits, and must raise
 50-digit ``verify`` reports depend on every rounding step.
 """
 
+import functools
 import math
 import random
 import re
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, cage_model, ttw_model
-from hamext.cli import build_model, make_config
-from hamext.coeffs import Poly, SingularEvaluation
-from hamext.dynamics import compile_ppoly
+from hamext.cli import _initial_point, build_model, make_config, numeric_params
+from hamext.coeffs import Poly, SingularEvaluation, compile_numeric
+from hamext.dynamics import (TrajectoryConfig, compile_ppoly, hamiltons_equations,
+                             integrate_adaptive, invariant_values)
 from hamext.params import PARAMS
+from hamext.verify import _gradient
 
 from conftest import coeff_strategy, ppoly_strategy
 
@@ -130,6 +133,10 @@ def outcome(thunk):
         return "singular"
     except ZeroDivisionError:
         return "zero division"
+    except ValueError:  # math.sin(inf) in floats
+        return "domain error"
+    except OverflowError:  # a float ** out of range
+        return "overflow"
     if isinstance(v, mpmath.mpf):
         return (mpmath.mpf, v._mpf_)
     return (type(v), v.hex())
@@ -154,37 +161,42 @@ guards = st.sampled_from([None, 1e-3, 0.3, 2.0])
 precisions = st.sampled_from([None, 50])
 
 
+# one strategy per space, built once: a test draws from it with ``data.draw``
+@functools.lru_cache(maxsize=None)
+def _ppoly(name):
+    return ppoly_strategy(SPACES[name])
+
+
+@functools.lru_cache(maxsize=None)
 def _ppoly_case(name):
-    space = SPACES[name]
-    return st.tuples(ppoly_strategy(space), points, guards, precisions)
+    return st.tuples(_ppoly(name), points, guards, precisions)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_ppoly_matches_reference(name):
-    @given(_ppoly_case(name))
-    def check(case):
-        F, pt, guard, prec = case
-        want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
-        fn = F.compile(PARAM_VALUES, prec, guard)
-        values = [pt[n] for n in F.space.coordinate_names]
-        assert outcome(lambda: fn(*values)) == want
-        assert outcome(lambda: F.evaluate(pt, PARAM_VALUES, prec, guard)) == want
+@given(data=st.data())
+def test_ppoly_matches_reference(name, data):
+    F, pt, guard, prec = data.draw(_ppoly_case(name))
+    want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
+    fn = F.compile(PARAM_VALUES, prec, guard)
+    values = [pt[n] for n in F.space.coordinate_names]
+    assert outcome(lambda: fn(*values)) == want
+    assert outcome(lambda: F.evaluate(pt, PARAM_VALUES, prec, guard)) == want
 
-    check()
+
+@functools.lru_cache(maxsize=None)
+def _coeff(name):
+    return coeff_strategy(SYSTEMS[name])
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_coeff_matches_reference(name):
-    sys = SYSTEMS[name]
-
-    @given(coeff_strategy(sys), points, st.sampled_from([1e-12, 1e-3, 0.3, 2.0]))
-    def check(c, pt, guard):
-        want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, guard=guard))
-        assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, guard=guard)) == want
-        want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, prec=50))
-        assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
-
-    check()
+@given(data=st.data())
+def test_coeff_matches_reference(name, data):
+    c, pt, guard = data.draw(st.tuples(_coeff(name), points,
+                                       st.sampled_from([1e-12, 1e-3, 0.3, 2.0])))
+    want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, guard=guard))
+    assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, guard=guard)) == want
+    want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, prec=50))
+    assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
 
 
 def test_param_constants_start_from_reduced_terms():
@@ -245,21 +257,18 @@ def test_singular_messages_agree():
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_values_do_not_depend_on_the_callers_precision(name):
+@given(data=st.data())
+def test_values_do_not_depend_on_the_callers_precision(name, data):
     """At 50 digits, compiling and calling inside ``workdps(15)`` or
     ``workdps(80)`` gives bitwise the reference values and verdicts."""
-    @given(_ppoly_case(name))
-    def check(case):
-        F, pt, guard, _ = case
-        want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, 50, guard))
-        values = [pt[n] for n in F.space.coordinate_names]
-        fn = F.compile(PARAM_VALUES, 50, guard)
-        for dps in (15, 80):
-            with mpmath.workdps(dps):
-                assert outcome(lambda: fn(*values)) == want
-                assert outcome(lambda: F.compile(PARAM_VALUES, 50, guard)(*values)) == want
-
-    check()
+    F, pt, guard, _ = data.draw(_ppoly_case(name))
+    want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, 50, guard))
+    values = [pt[n] for n in F.space.coordinate_names]
+    fn = F.compile(PARAM_VALUES, 50, guard)
+    for dps in (15, 80):
+        with mpmath.workdps(dps):
+            assert outcome(lambda: fn(*values)) == want
+            assert outcome(lambda: F.compile(PARAM_VALUES, 50, guard)(*values)) == want
 
 
 SPECIAL_POINTS = [{"q": math.nan, "u": 0.5}, {"q": 0.4, "u": math.nan},
@@ -269,15 +278,57 @@ SPECIAL_POINTS = [{"q": math.nan, "u": 0.5}, {"q": 0.4, "u": math.nan},
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_special_coordinates_match_reference(name):
+@given(data=st.data())
+def test_special_coordinates_match_reference(name, data):
     """NaN and infinite coordinates, and int and ``Fraction`` point values,
     give the reference chain's 50-digit value or verdict."""
-    @given(coeff_strategy(SYSTEMS[name]), st.sampled_from(SPECIAL_POINTS))
-    def check(c, pt):
-        want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, prec=50))
-        assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
+    c, pt = data.draw(st.tuples(_coeff(name), st.sampled_from(SPECIAL_POINTS)))
+    want = outcome(lambda: ref_coeff_evaluate(c, pt, PARAM_VALUES, prec=50))
+    assert outcome(lambda: c.evaluate(pt, PARAM_VALUES, prec=50)) == want
 
-    check()
+
+def verdict(thunk):
+    """``outcome``, with the message of a singular verdict, which prints the
+    denominator: a -0.0 there prints differently from 0.0."""
+    got = outcome(thunk)
+    if got != "singular":
+        return got
+    with pytest.raises(SingularEvaluation) as exc:
+        thunk()
+    return got, str(exc.value)
+
+
+def ref_coeff_with(c, point, params, prec, guard):
+    """``ref_coeff_evaluate`` with the guard and its default as in ``ref_ppoly_evaluate``."""
+    if prec is None:
+        return ref_coeff_evaluate(c, point, params, float, 1e-12 if guard is None else guard)
+    with mpmath.workdps(prec):
+        g = mpmath.mpf(10) ** (-prec + 10) if guard is None else guard
+        return ref_coeff_evaluate(c, point, params, ref_mp_conv, g)
+
+
+_special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+special_floats = st.fixed_dictionaries({n: _special | _coord for n in ("q", "u", "p_q", "p_u")})
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@given(data=st.data())
+def test_special_float_coordinates_match_reference(name, data):
+    """In floats, NaN, infinite and signed-zero coordinates give bitwise the
+    reference chain's values, the sign of a zero included, and its verdicts
+    and messages, for a polynomial and for a coefficient alone: the float
+    source leaves out the ``0.0 +`` of a term's numerator, but not of a
+    denominator or of a coefficient's numerator, where it turns -0.0 into 0.0."""
+    F, c, pt, guard = data.draw(st.tuples(_ppoly(name), _coeff(name), special_floats,
+                                          st.sampled_from([None, 0.0, 1e-3, 0.3, 2.0])))
+    # the one known difference: the reference sums no term of a zero
+    # polynomial, so it never takes sin(inf), which the call's prelude does
+    assume(F.terms or math.isfinite(pt["q"]))
+    want = verdict(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, None, guard))
+    values = [pt[n] for n in F.space.coordinate_names]
+    assert verdict(lambda: F.compile(PARAM_VALUES, None, guard)(*values)) == want
+    want = verdict(lambda: ref_coeff_with(c, pt, PARAM_VALUES, None, guard))
+    assert verdict(lambda: c.evaluate(pt, PARAM_VALUES, guard)) == want
 
 
 def test_zero_guard_compiles_no_check():
@@ -303,6 +354,48 @@ def test_zero_guard_compiles_no_check():
     nan = dict(near, u=math.nan)
     got = F.compile(PARAM_VALUES, None, 0.0)(*[nan[n] for n in space.coordinate_names])
     assert math.isnan(got)
+
+
+def test_constant_fractions_match_reference():
+    """A fraction with no generator in its numerator or denominator is
+    computed once, when it compiles, by the same operations; a denominator
+    that is zero or below the guard, or overflows a float, still makes each
+    call raise.  Guards below, at and above the denominators' magnitudes,
+    at both precisions, for polynomial terms and for coefficients alone."""
+    sys, space = SYSTEMS["circular"], SPACES["circular"]
+    c1, c2 = sys.param("c1"), sys.param("c2")
+    u, S = sys.coord("u"), sys.S("q")
+    ratio, third = c1 / (c1 + c2), sys.scalar(Q(1, 3))  # denominators c1 + c2 and 1
+    square = c2 / (c1 + c2) / (c1 + c2)  # the factor c1 + c2 to the power 2
+    F = (space.lift(ratio) * space.p("q") + space.lift(third)
+         + space.lift(S / u) * space.p("u") ** 2)
+    pt = {"q": 0.4, "u": 0.7, "p_q": -1.1, "p_u": 0.3}
+    values = [pt[n] for n in space.coordinate_names]
+    zero = dict(PARAM_VALUES, c1=0.7, c2=-0.7)  # c1 + c2 is exactly 0
+    huge = dict(PARAM_VALUES, c1=1e200)  # (c1 + c2) ** 2 overflows a float
+    seen = set()
+    for params in (PARAM_VALUES, zero, huge):
+        for prec in (None, 50):
+            for guard in (None, 0.0, 0.3, 1.0, 2.0):
+                # compiling never raises: only the call does
+                fn = F.compile(params, prec, guard)
+                want = verdict(lambda: ref_ppoly_evaluate(F, pt, params, prec, guard))
+                assert verdict(lambda: fn(*values)) == want
+                seen.add(want if isinstance(want, str) else want[0])
+                for c in (ratio, third, square):
+                    fn = compile_numeric(sys, [c], params, prec, guard)
+                    want = verdict(lambda: ref_coeff_with(c, pt, params, prec, guard))
+                    assert verdict(lambda: fn(pt["q"], pt["u"])[0]) == want
+                    seen.add(want if isinstance(want, str) else want[0])
+    assert {"singular", "zero division", "overflow", float, mpmath.mpf} <= seen
+    # c1 + c2 = 0.6 and 1 pass the guard 0.3, so only u is checked; both are
+    # below the guard 2, and a zero denominator stays in the function
+    for prec, check in ((None, "if abs(d) < G: raise below(d)"), (50, "guard(")):
+        assert F.compile(PARAM_VALUES, prec, 0.3).source.count(check) == 1
+        assert F.compile(PARAM_VALUES, prec, 2.0).source.count(check) == 3
+        assert F.compile(zero, prec, 0.3).source.count(check) == 2
+    assert "/ d" not in space.compile([F - space.lift(S / u) * space.p("u") ** 2],
+                                      PARAM_VALUES, None, 0.3).source
 
 
 # -- the gradients verify evaluates --------------------------------------------------
@@ -351,37 +444,34 @@ def test_model_gradients_match_reference(name):
 # -- one function for many polynomials -------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _joint_case(name):
-    space = SPACES[name]
-    return st.tuples(st.lists(ppoly_strategy(space), min_size=1, max_size=4),
+    return st.tuples(st.lists(_ppoly(name), min_size=1, max_size=4),
                      st.lists(points, min_size=2, max_size=2), guards, precisions)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_joint_function_matches_each_alone(name):
+@given(data=st.data())
+def test_joint_function_matches_each_alone(name, data):
     """One function of several polynomials gives, at each of several
     points, bitwise the values of compiling each polynomial alone and of
     the reference chain, or the first of their singular verdicts."""
-    @given(_joint_case(name))
-    def check(case):
-        Fs, pts, guard, prec = case
-        joint = SPACES[name].compile(Fs, PARAM_VALUES, prec, guard)
-        alone = [F.compile(PARAM_VALUES, prec, guard) for F in Fs]
-        for pt in pts:
-            values = [pt[n] for n in SPACES[name].coordinate_names]
-            want = [outcome(lambda: fn(*values)) for fn in alone]
-            assert want == [outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
-                            for F in Fs]
-            failed = [w for w in want if isinstance(w, str)]
-            try:
-                got = [outcome(lambda: v) for v in joint(*values)]
-            except SingularEvaluation:
-                got = "singular"
-            except ZeroDivisionError:
-                got = "zero division"
-            assert got == (failed[0] if failed else want)
-
-    check()
+    Fs, pts, guard, prec = data.draw(_joint_case(name))
+    joint = SPACES[name].compile(Fs, PARAM_VALUES, prec, guard)
+    alone = [F.compile(PARAM_VALUES, prec, guard) for F in Fs]
+    for pt in pts:
+        values = [pt[n] for n in SPACES[name].coordinate_names]
+        want = [outcome(lambda: fn(*values)) for fn in alone]
+        assert want == [outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
+                        for F in Fs]
+        failed = [w for w in want if isinstance(w, str)]
+        try:
+            got = [outcome(lambda: v) for v in joint(*values)]
+        except SingularEvaluation:
+            got = "singular"
+        except ZeroDivisionError:
+            got = "zero division"
+        assert got == (failed[0] if failed else want)
 
 
 def test_joint_source_binds_each_power_once():
@@ -410,3 +500,71 @@ def test_joint_source_binds_each_power_once():
             assert bound == first
         cos = sin.replace("sin", "cos")
         assert src.count(cos) == src.count(sin) == 1
+
+
+# -- the functions of a flow, and the work per call ------------------------------------
+
+
+def _catalog(command, model):
+    cfg = make_config([command, "--model", model, "--m", "3", "--n", "2"])
+    built = build_model(cfg)
+    return built, numeric_params(cfg, built)
+
+
+def _field_and_invariants(model):
+    built, params = _catalog("simulate", model)
+    H, names = built.Hbar, built.space.position_names
+    field = [H.d_momentum(n) for n in names] + [-H.d_position(n) for n in names]
+    return built, params, field, {"H_modified": H, "K_modified": built.Kbar.poly,
+                                  "L_base": built.L}
+
+
+@pytest.mark.parametrize("model", ["ttw", "cage"])
+def test_flow_functions_match_reference_at_trajectory_rows(model):
+    """The right-hand side and the three monitored invariants of ``simulate``
+    give bitwise the reference chain's values at every row of a short flow."""
+    built, params, field, invariants = _field_and_invariants(model)
+    cfg = TrajectoryConfig(initial=_initial_point(None, built), t_final=2.0, stride=200)
+    traj = integrate_adaptive(cfg, hamiltons_equations(built.Hbar, params))
+    assert traj.success and len(traj.y) == 200
+    rhs = hamiltons_equations(built.Hbar, params)
+    monitored = invariant_values(traj, invariants, params)
+    for row, (t, y) in enumerate(zip(traj.t, traj.y)):
+        pt = dict(zip(built.space.coordinate_names, y))
+        assert [outcome(lambda: v) for v in rhs(t, y)] == [
+            outcome(lambda: ref_ppoly_evaluate(G, pt, params, guard=0.0)) for G in field]
+        assert [outcome(lambda: monitored[n][row]) for n in invariants] == [
+            outcome(lambda: ref_ppoly_evaluate(F, pt, params, guard=0.0))
+            for F in invariants.values()]
+
+
+def _float_ops(source):
+    """Operators a float function runs per call: each + - * / ** of its assignments."""
+    return sum(len(re.findall(r" (?:[-+*/]|\*\*) ", ln.split(" = ", 1)[1]))
+               for ln in source.splitlines()[1:] if " = " in ln)
+
+
+@pytest.mark.parametrize("model, rhs_ops, invariant_ops", [("ttw", 28, 601), ("cage", 15, 591)])
+def test_flow_functions_per_call_op_counts(model, rhs_ops, invariant_ops):
+    """Pinned work per call of the unguarded right-hand side and invariants.
+    Before constant folding and dropping the no-ops they ran 48 and 698
+    (ttw), 28 and 697 (cage): each sum of a term's numerator and
+    denominator started from 0.0, each constant 1.0 was multiplied, and a
+    fraction without generators was divided out at every call."""
+    built, params, field, invariants = _field_and_invariants(model)
+    space = built.space
+    assert _float_ops(space.compile(field, params, guard=0.0).source) == rhs_ops
+    assert _float_ops(space.compile(list(invariants.values()), params,
+                                    guard=0.0).source) == invariant_ops
+
+
+def test_gradient_tape_op_count():
+    """Pinned length of the 50-digit tape of the partials of ttw(3,2)'s H
+    and K that ``verify`` compiles (2,109 before these rules): constant
+    fractions are folded, an op repeated on the same registers is numbered
+    to the first, and a register is guarded once."""
+    built, params = _catalog("verify", "ttw")
+    grads = [G for F in (built.Hbar, built.Kbar.poly) for G in _gradient(F)]
+    listing = built.space.compile(grads, params, 50).source.splitlines()
+    assert listing[0].endswith("= to_mpf(coordinates)") and listing[-1].startswith("return")
+    assert len(listing) - 2 == 1957
