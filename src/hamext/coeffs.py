@@ -952,9 +952,7 @@ def to_mpf(x):
     """``x`` as an mpf; a rational becomes numerator / denominator."""
     import mpmath  # the 50-digit path only: build and simulate never load it
 
-    if isinstance(x, (int, float)):
-        return mpmath.mpf(x)
-    if hasattr(x, "numerator") and not isinstance(x, mpmath.mpf):
+    if hasattr(x, "numerator") and not isinstance(x, (int, mpmath.mpf)):
         return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
     return mpmath.mpf(x)
 
@@ -970,337 +968,337 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
     With ``prec=None`` it computes in floats; with ``prec`` digits it
     computes in mpf at that precision, and so do the constants here.
 
-    The operations are always the same, in the same order, so a value does
-    not depend on how often, where, or beside which targets it was compiled:
+    One walk over the targets decides every operation for both precisions,
+    so a value does not depend on how often, where, or beside which targets
+    it was compiled:
 
-    * each parameter polynomial becomes one constant, ``ParamPoly.evaluate``;
-    * generators are computed once per call: ``x`` itself for a linear
-      variable, ``C = cos(root*(rate*x))`` and ``S = sin(root*(rate*x))/root``
-      with ``root = sqrt(|tag|)`` (cosh and sinh for a negative tag);
-    * each distinct power ``g**e`` of a generator or momentum is computed
-      once per call, just before its first use;
-    * every sum starts from zero and runs in dict insertion order, and a
-      term is ``constant * g**e * ...``, multiplied left to right;
+    * each parameter polynomial is one constant, computed as
+      ``ParamPoly.evaluate`` does, in the arithmetic of the precision;
+    * a linear variable's generator is ``x``; a tagged one's are
+      ``C = cos(root*(rate*x))`` and ``S = sin(root*(rate*x))/root``, with
+      ``root = sqrt(|tag|)`` (cosh and sinh for a negative tag), computed as
+      ``x*rate*root`` (a product of two numbers rounds the same either way)
+      once per call, if the call evaluates a coefficient at all: as in the
+      plain loop, ``math.sin(inf)`` raises even for an unread generator;
+    * a term is ``constant * g**e * ...``, multiplied left to right, each
+      distinct power of a generator or momentum computed once per call, just
+      before its first use; a sum starts from 0 in dict insertion order;
     * a denominator is ``(0 + 1*mono) * f**k * ...``; if its magnitude is
       below ``guard`` the function raises SingularEvaluation, otherwise a
       term is ``num / den * p**e * ...``.  The default guard is 1e-12, or
-      the mpf 10^(10 - prec) with ``prec``; a guard of 0 compiles no check.
+      the mpf 10^(10 - prec) with ``prec``; a guard of 0 compiles no check;
+    * an op on numbers known when it compiles is done then, unless it
+      raises, so that each call raises.  So a fraction without generators
+      is one constant, and a denominator without them is checked once and,
+      if it passes, divided by as one constant;
+    * ``1 * x``, ``x * 1`` and ``x / 1`` are ``x``, for every float (-0.0,
+      infinities and NaN included) and every mpf rounded to the precision.
 
-    In floats the walk emits Python source with infix operators.  With
-    ``prec`` it emits a tape instead: one ``(function, dst, a, b)`` entry
-    per operation, where the function is the ``mpmath.libmp`` routine that
-    the mpf operator would call (``mpf_mul``, ``mpf_add``, ``mpf_div``,
-    ``mpf_pow_int``, ``mpf_sin``, ...) and ``dst``, ``a``, ``b`` index a
-    list of raw mpf tuples.  One loop runs the tape per call, with the
-    precision and rounding of ``workdps(prec)``, and so skips the mpf
-    wrapper objects that cost as much as the arithmetic.  The constants
-    are computed by the same libmp calls on raw values, with each
-    parameter value converted once and each power of it taken once.  The
-    function's ``source`` is the float source or a listing of the tape.
+    A backend only spells each op: Python source in floats, and with
+    ``prec`` a tape of ``(function, dst, a, b)`` entries (the ``libmp``
+    routine the mpf operator would call, and indices into a list of raw mpf
+    tuples) that one loop runs per call under ``workdps(prec)``, without the
+    costly mpf wrappers.  ``source`` is the float source or the tape's
+    listing.  Two rules are the backends' own:
 
-    Both leave out what cannot change a value:
-
-    * a product with a constant equal to 1, and a division by a root of 1:
-      ``1 * x`` and ``x / 1`` are ``x`` for every float, -0.0, infinities
-      and NaN included, and for every mpf already rounded to the working
-      precision, as every operand is (coordinates go through ``to_mpf``
-      under ``workdps(prec)``);
-    * the leading ``0 +`` of each sum on the tape, which rounds such an mpf
-      to itself.  In floats ``0.0 + x`` is ``x`` except that it turns -0.0
-      into 0.0, so only the numerator of a polynomial's term leaves it out:
-      a zero numerator gives a zero or NaN term whatever its sign, and the
-      polynomial's sum, which starts from 0.0 and so is never -0.0, adds it
-      to the same value.  A denominator keeps it where a guard is compiled,
-      whose SingularEvaluation message prints it; without a guard only
-      whether it is zero matters, as ``x / d`` raises for 0.0 and -0.0
-      alike.  A coefficient's numerator keeps it, since the coefficient's
-      value is the quotient itself;
-    * the work of a fraction whose numerator and denominator hold no
-      generator: it is computed once, by the same operations, when it
-      compiles, unless its denominator is 0, below the guard or (in floats)
-      overflows, which stays in the function so that each call raises as
-      before.  On the tape
-      every op whose operands are all constants is folded this way, and a
-      guard on a constant is checked when it compiles;
-    * on the tape, an op that repeats an earlier op on the same registers
-      (value numbering: it reuses that op's register), and a second guard
-      on one register, which the first guard already passed.
+    * the tape leaves out the leading ``0 +`` of a sum, as it rounds an mpf
+      to itself.  In floats it turns -0.0 into 0.0, so only a polynomial
+      term's numerator (its zero of either sign goes into a sum from 0.0)
+      and a denominator without a guard (``x / d`` raises for both zeros)
+      leave it out: a guard's message prints the denominator, and a
+      coefficient's value is the quotient itself;
+    * the tape numbers values: an op that repeats an earlier op on the same
+      registers reuses its register, so each register is guarded once.
     """
-    if prec is None:
-        return _compile(sys, targets, params, 1e-12 if guard is None else guard, momenta)
-    return _compile_tape(sys, targets, params, guard, momenta, prec)
+    B = _Source(guard) if prec is None else _Tape(prec, guard)
+    arith, one, ratio = B.arith, B.one, B.arith["ratio"]
+    guarded = B.guard > 0  # abs(d) < G never holds for G <= 0, not even for a NaN d
+    known: Dict[object, object] = {B.ZERO: B.zero}  # handle -> its number, if known now
 
+    def const(value):
+        h = B.const(value)
+        known[h] = value
+        return h
 
-def _compile(sys: VarSystem, targets, params, guard, momenta: int) -> Callable:
-    def below(d) -> SingularEvaluation:
-        # the message is built here, on failure only, to keep the source small
-        return SingularEvaluation(f"denominator magnitude {d} below guard {guard}")
+    def apply(kind: str, a, b, name: Optional[str] = None):
+        # kind is "mul", "div" or "pow" (b an int exponent > 1); name, a local to bind
+        ka, kb = known.get(a), b if kind == "pow" else known.get(b)
+        if ka is not None and kb is not None:
+            try:
+                return const(arith[kind](ka, kb))
+            except ArithmeticError:  # a zero division or a float overflow
+                pass
+        if kb == one or kind == "mul" and ka == one:
+            return a if kb == one else b
+        return B.op(kind, a, b, name)
 
-    ns: Dict[str, object] = dict(sin=math.sin, cos=math.cos, sinh=math.sinh, cosh=math.cosh,
-                                 cv=float, Z=0.0, G=guard, below=below)
-    ids = itertools.count()
-    lines: List[str] = []
+    powers: Dict[tuple, object] = {}
 
-    def bind(value) -> str:
-        name = f"k{next(ids)}"
-        ns[name] = value
-        return name
+    def power(a, e: int):
+        if e == 1:
+            return a
+        if (a, e) not in powers:
+            powers[a, e] = apply("pow", a, e)
+        return powers[a, e]
 
-    bound = set()
+    @lru_cache(maxsize=None)
+    def param_power(i: int, e: int):
+        if PARAMS[i] not in params:
+            raise KeyError(f"no value supplied for parameter {PARAMS[i]!r}")
+        return arith["pow"](arith["param"](params[PARAMS[i]]), e)
 
-    def power(base: str, e: int) -> str:
-        # base**e, bound as a local by a line before the first that reads it
-        name = f"{base}_{e}"
-        if e > 1 and name not in bound:
-            bound.add(name)
-            lines.append(f"{name} = {base} ** {e}")
-        return base if e == 1 else name
+    @lru_cache(maxsize=None)
+    def constant_value(den: int, nums: tuple):
+        # each term from its reduced numerator and denominator, times each
+        # parameter power; the terms summed from 0
+        acc = B.zero
+        for m, n in nums:
+            g = math.gcd(n, den)
+            term = ratio(n // g, den // g)
+            for i, e in m:
+                term = arith["mul"](term, param_power(i, e))
+            acc = arith["add"](acc, term)
+        return acc
 
-    def product(factors: List[str]) -> str:
-        # left to right, without a constant bound to 1.0: 1.0 * x is x for every float
-        return " * ".join([f for f in factors if ns.get(f) != 1.0] or factors[:1])
+    def times(value, bases: list, exps: Sequence[int]):
+        # value * base**e * ..., left to right
+        for base, e in zip(bases, exps):
+            if e:
+                value = apply("mul", value, power(base, e))
+        return value
 
-    gens: List[str] = []  # source name of the generator in each monomial slot
+    def add(a, b):
+        h = B.add(a, b)
+        if a in known and b in known:
+            known[h] = arith["add"](known[a], known[b])
+        return h
+
+    def total(p: Poly, lead: bool):
+        # the sum from 0, or (lead=False, which only floats spell differently;
+        # see above) from its first term
+        acc = B.ZERO if lead or not p.terms else None
+        for m, pp in p.terms.items():
+            term = times(const(constant_value(pp.den, tuple(pp.nums.items()))), gens, m)
+            acc = term if acc is None else add(acc, term)
+        h = B.group(acc)
+        if acc in known:
+            known[h] = known[acc]
+        return h
+
+    # a coefficient to evaluate, of a CanonicalCoeff target or a polynomial's term
+    evaluates = any(isinstance(t, CanonicalCoeff) or len(t) for t in targets)
+    gens: list = []  # the generator in each monomial slot
     for i, v in enumerate(sys.vars):
         if v.is_linear:
-            lines.append(f"g{i} = cv(a{i})")
-            gens.append(f"g{i}")
-            continue
-        rate = float(v.rate.numerator) / float(v.rate.denominator)
-        tag = float(v.tag.numerator) / float(v.tag.denominator)
-        r, t = bind(rate), bind(math.sqrt(tag if v.tag > 0 else -tag))
-        s_fn, c_fn = ("sin", "cos") if v.tag > 0 else ("sinh", "cosh")
-        w = product([r, f"cv(a{i})"])
-        lines.append(f"w = {w}" if ns[t] == 1.0 else f"w = {t} * ({w})")
-        lines.append(f"c{i} = {c_fn}(w)")
-        lines.append(f"s{i} = {s_fn}(w)" + ("" if ns[t] == 1.0 else f" / {t}"))  # x / 1.0 is x
-        gens += [f"c{i}", f"s{i}"]
-    npos = len(sys.vars)
-    lines += [f"p{i} = cv(a{npos + i})" for i in range(momenta)]
+            gens.append(B.coordinate(i, f"g{i}"))
+        elif not evaluates:
+            B.coordinate(i, f"a{i}")
+        else:
+            rate = const(ratio(v.rate.numerator, v.rate.denominator))
+            root = const(arith["sqrt"](ratio(abs(v.tag.numerator), v.tag.denominator)))
+            w = B.local("w", apply("mul", apply("mul", B.coordinate(i), rate), root))
+            c_fn, s_fn = ("cos", "sin") if v.tag > 0 else ("cosh", "sinh")
+            gens.append(B.op(c_fn, w, name=f"c{i}"))
+            gens.append(apply("div", B.op(s_fn, w, name=f"s{i}"), root, f"s{i}"))
+    moms = [B.coordinate(len(sys.vars) + i, f"p{i}") for i in range(momenta)]
 
-    def total(p: Poly, lead: bool = True) -> str:
-        # the sum from Z, or (lead=False) from its first term
-        terms = [product([bind(pp.evaluate(params, float))]
-                         + [power(gens[slot], e) for slot, e in enumerate(m) if e])
-                 for m, pp in p.terms.items()]
-        return "(" + " + ".join(["Z"] * (lead or not terms) + terms) + ")"
-
-    def fraction(c: CanonicalCoeff, lead: bool) -> str:
-        # a guard's message prints d; without a guard only d == 0 matters
-        den = total(Poly.from_mono(sys, c.den_mono), guard > 0)
+    def fraction(c: CanonicalCoeff, lead: bool):
+        d = total(Poly.from_mono(sys, c.den_mono), guarded)
         for f, k in c.den_factors:
-            den += f" * {total(f, guard > 0)}" + (f" ** {k}" if k > 1 else "")
-        polys = [c.num] + [f for f, _ in c.den_factors]
-        if not any(c.den_mono) and not any(any(m) for p in polys for m in p.terms):
-            # no generator: the quotient is a constant, computed here by the
-            # same source, unless the call has to raise
-            try:
-                d = eval(den, ns)
-                if d != 0 and not abs(d) < guard:
-                    return bind(eval(total(c.num, lead), ns) / d)
-            except OverflowError:  # a float ** overflowed: so does each call
-                pass
-        if not guard > 0:  # abs(d) < G never holds for G <= 0, not even for a NaN d
-            return f"{total(c.num, lead)} / ({den})"
-        lines.append(f"d = {den}")
-        lines.append("if abs(d) < G: raise below(d)")
-        return f"{total(c.num, lead)} / d"
+            d = apply("mul", d, power(total(f, guarded), k))
+        if guarded and (d not in known or arith["below"](known[d])):
+            d = B.check(d)
+        return apply("div", total(c.num, lead), d)
 
+    outs = []
     for j, target in enumerate(targets):
         if isinstance(target, CanonicalCoeff):
-            lines.append(f"v{j} = {fraction(target, lead=True)}")
+            outs.append(B.local(f"v{j}", fraction(target, lead=True)))
             continue
-        lines.append(f"v{j} = Z")
+        acc = B.local(f"v{j}", B.ZERO)
         for pe, c in target:
-            # a zero numerator gives a zero term, of either sign, and the sum
-            # from Z absorbs it, so the numerator needs no Z to fix its sign
-            value = product([fraction(c, lead=False)]
-                            + [power(f"p{i}", e) for i, e in enumerate(pe) if e])
-            lines.append(f"v{j} = v{j} + {value}")
-    lines.append("return [" + ", ".join(f"v{j}" for j in range(len(targets))) + "]")
-    args = ", ".join(f"a{i}" for i in range(npos + momenta))
-    src = f"def evaluate({args}):\n" + "".join(f"    {ln}\n" for ln in lines)
-    exec(compile(src, "<compiled coefficients>", "exec"), ns)
-    fn = ns["evaluate"]
-    fn.source = src  # type: ignore[attr-defined]
-    return fn
+            acc = B.local(f"v{j}", add(acc, times(fraction(c, lead=False), moms, pe)))
+        outs.append(acc)
+    return B.finish(outs, len(sys.vars) + momenta)
 
 
-def _compile_tape(sys: VarSystem, targets, params, guard, momenta: int, prec: int) -> Callable:
-    # the same walk as ``_compile``, lowered to libmp calls on raw mpf tuples
-    import mpmath
-    from mpmath import libmp
+class _Source:
+    """``compile_numeric``'s ops spelled as Python source over floats."""
 
-    make_mpf = mpmath.mp.make_mpf
-    rnd = libmp.round_nearest
-    with mpmath.workdps(prec):
-        bits = mpmath.mp.prec
-        if guard is None:
-            guard = mpmath.mpf(10) ** (-prec + 10)
-        regs: List[object] = []   # initial register values: the constants, else None
-        names: List[str] = []
-        tape: List[tuple] = []
-        listing: List[str] = []
+    ZERO = "Z"
 
-        def reg(name: str, value=None) -> int:
-            regs.append(value)
-            names.append(name)
-            return len(regs) - 1
+    def __init__(self, guard):
+        self.guard = guard = 1e-12 if guard is None else guard
 
-        interned: Dict[object, int] = {}
+        def below(d) -> SingularEvaluation:
+            # the message is built here, on failure only, to keep the source small
+            return SingularEvaluation(f"denominator magnitude {d} below guard {guard}")
 
-        def const(value) -> int:
-            # a raw mpf, or an int exponent (listed as itself)
-            if value not in interned:
-                name = str(value) if type(value) is int else f"k{len(interned)}"
-                interned[value] = reg(name, value)
-            return interned[value]
+        self.ns: Dict[str, object] = dict(sin=math.sin, cos=math.cos, sinh=math.sinh,
+                                          cosh=math.cosh, cv=float, Z=0.0, G=guard, below=below)
+        self.arith = dict(ratio=lambda n, d: float(n) / float(d), param=float, sqrt=math.sqrt,
+                          add=operator.add, mul=operator.mul, div=operator.truediv,
+                          pow=operator.pow, below=lambda d: abs(d) < guard)
+        self.zero, self.one = 0.0, 1.0
+        self.ids = itertools.count()
+        self.lines: List[str] = []
 
-        numbered: Dict[tuple, int] = {}
+    def const(self, value) -> str:
+        name = f"k{next(self.ids)}"
+        self.ns[name] = value
+        return name
 
-        def op(fn: str, a: int, b: Optional[int] = None, name: Optional[str] = None) -> int:
-            # fn names the libmp export, which the listing shows.  An op on
-            # constants is a constant, unless it raises, and an op already on
-            # the tape gives that op's register.
-            f = getattr(libmp, fn)
-            if regs[a] is not None and (b is None or regs[b] is not None):
-                try:
-                    return const(f(regs[a], bits, rnd) if b is None
-                                 else f(regs[a], regs[b], bits, rnd))
-                except ZeroDivisionError:
-                    pass  # left on the tape, so that each call raises
-            if (fn, a, b) not in numbered:
-                dst = numbered[fn, a, b] = reg(name or f"t{len(tape)}")
-                tape.append((f, dst, a, b))
-                args = names[a] if b is None else f"{names[a]}, {names[b]}"
-                listing.append(f"{names[dst]} = {fn}({args})")
-            return numbered[fn, a, b]
+    def local(self, name: str, src: str) -> str:
+        self.lines.append(f"{name} = {src}")
+        return name
 
-        ZERO, ONE = const(libmp.fzero), const(libmp.fone)
+    def coordinate(self, i: int, name: Optional[str] = None) -> str:
+        return self.local(name, f"cv(a{i})") if name else f"cv(a{i})"
 
-        def add(a: int, b: int) -> int:
-            return b if a == ZERO else op("mpf_add", a, b)
+    def op(self, kind: str, a: str, b=None, name: Optional[str] = None) -> str:
+        if kind == "pow":
+            src = f"{a} ** {b}"
+            if a.isidentifier():  # a local, bound by a line before the first that reads it
+                name = f"{a}_{b}"
+        elif kind == "mul":  # from the left, by a name, a power or a sum in parentheses
+            src = f"{a} * {b}"
+        elif kind == "div":
+            src = f"{a} / {b}" if b.isidentifier() else f"{a} / ({b})"
+        else:
+            src = f"{kind}({a})"
+        return self.local(name, src) if name else src
 
-        def mul(a: int, b: int) -> int:
-            if a == ONE or b == ONE:
-                return b if a == ONE else a
-            return op("mpf_mul", a, b)
+    def add(self, a: str, b: str) -> str:
+        return f"{a} + {b}"
 
-        def power(base: int, e: int) -> int:
-            return base if e == 1 else op("mpf_pow_int", base, const(e), f"{names[base]}_{e}")
+    def group(self, src: str) -> str:
+        return f"({src})"
 
-        # ParamPoly.evaluate(params, to_mpf) on raw mpf tuples: each parameter
-        # value is converted once, each power of it and each distinct
-        # parameter polynomial computed once, by the same libmp calls
-        converted: Dict[int, object] = {}
-        pvalues: Dict[Tuple[int, int], object] = {}
+    def check(self, d: str) -> str:
+        self.local("d", d)
+        self.lines.append("if abs(d) < G: raise below(d)")
+        return "d"
 
-        def pvalue(i: int, e: int):
-            if (i, e) not in pvalues:
-                if i not in converted:
-                    if PARAMS[i] not in params:
-                        raise KeyError(f"no value supplied for parameter {PARAMS[i]!r}")
-                    converted[i] = to_mpf(params[PARAMS[i]])._mpf_
-                pvalues[i, e] = libmp.mpf_pow_int(converted[i], e, bits, rnd)
-            return pvalues[i, e]
+    def finish(self, outs: List[str], arity: int) -> Callable:
+        self.lines.append("return [" + ", ".join(outs) + "]")
+        args = ", ".join(f"a{i}" for i in range(arity))
+        src = f"def evaluate({args}):\n" + "".join(f"    {ln}\n" for ln in self.lines)
+        exec(compile(src, "<compiled coefficients>", "exec"), self.ns)
+        fn = self.ns["evaluate"]
+        fn.source = src  # type: ignore[attr-defined]
+        return fn
 
-        evaluated: Dict[Tuple[int, tuple], int] = {}
 
-        def constant(pp: ParamPoly) -> int:
-            key = (pp.den, tuple(pp.nums.items()))
-            if key not in evaluated:
-                acc = libmp.fzero
-                for m, n in pp.nums.items():
-                    g = math.gcd(n, pp.den)
-                    term = libmp.mpf_div(libmp.from_int(n // g, bits, rnd),
-                                         libmp.from_int(pp.den // g, bits, rnd), bits, rnd)
-                    for i, e in m:
-                        term = libmp.mpf_mul(term, pvalue(i, e), bits, rnd)
-                    acc = libmp.mpf_add(acc, term, bits, rnd)
-                evaluated[key] = const(acc)
-            return evaluated[key]
+class _Tape:
+    """``compile_numeric``'s ops spelled as ``mpmath.libmp`` calls on raw mpf
+    tuples at ``prec`` digits."""
 
-        coords: List[int] = []    # the register of each argument
-        gens: List[int] = []      # the register of the generator in each monomial slot
-        for i, v in enumerate(sys.vars):
-            if v.is_linear:
-                coords.append(reg(f"g{i}"))
-                gens.append(coords[-1])
-                continue
-            coords.append(reg(f"a{i}"))
-            tag = to_mpf(v.tag)
-            r = const(to_mpf(v.rate)._mpf_)
-            t = const(((tag if v.tag > 0 else -tag) ** mpmath.mpf("0.5"))._mpf_)
-            s_fn, c_fn = ("mpf_sin", "mpf_cos") if v.tag > 0 else ("mpf_sinh", "mpf_cosh")
-            w = mul(t, mul(r, coords[-1]))
-            gens.append(op(c_fn, w, name=f"c{i}"))
-            gens.append(op(s_fn, w, name=f"s{i}") if t == ONE  # x / 1 is x as well
-                        else op("mpf_div", op(s_fn, w), t, f"s{i}"))
-        moms = [reg(f"p{i}") for i in range(momenta)]
-        coords += moms
+    def __init__(self, prec: int, guard):
+        import mpmath
+        from mpmath import libmp
 
-        def total(p: Poly) -> int:
-            acc = ZERO
-            for m, pp in p.terms.items():
-                term = constant(pp)
-                for slot, e in enumerate(m):
-                    if e:
-                        term = mul(term, power(gens[slot], e))
-                acc = add(acc, term)
-            return acc
+        with mpmath.workdps(prec):
+            self.guard = mpmath.mpf(10) ** (-prec + 10) if guard is None else guard
+            limit = mpmath.mpf(self.guard)._mpf_
+        self.mpmath, self.prec = mpmath, prec
+        self.bits, self.rnd = bits, rnd = libmp.dps_to_prec(prec), libmp.round_nearest
 
-        G = reg("G", mpmath.mpf(guard)._mpf_)
+        def raw(fn):  # a binary libmp routine at the tape's precision and rounding
+            return lambda a, b: fn(a, b, bits, rnd)
+
+        def ratio(n: int, d: int):
+            return libmp.mpf_div(libmp.from_int(n, bits, rnd), libmp.from_int(d, bits, rnd),
+                                 bits, rnd)
+
+        def param(x):
+            with mpmath.workdps(prec):
+                return to_mpf(x)._mpf_
+
+        self.arith = dict(ratio=ratio, param=param, sqrt=lambda x: libmp.mpf_sqrt(x, bits, rnd),
+                          add=raw(libmp.mpf_add), mul=raw(libmp.mpf_mul),
+                          div=raw(libmp.mpf_div), pow=raw(libmp.mpf_pow_int),
+                          below=lambda d: libmp.mpf_lt(libmp.mpf_abs(d, bits, rnd), limit))
+        self.zero, self.one = libmp.fzero, libmp.fone
+        self.regs: List[object] = []  # initial register values: the constants, else None
+        self.names: List[str] = []
+        self.coords: List[int] = []  # the register of each argument
+        self.ops: List[tuple] = []  # (libmp function name, dst, a, b)
+        self.interned: Dict[object, int] = {}
+        self.numbered: Dict[tuple, int] = {}
+        self.ZERO = self.const(self.zero)
+        self.const(self.one)
+        self.G = self.reg("G", limit)
+
+    def reg(self, name: str, value=None) -> int:
+        self.regs.append(value)
+        self.names.append(name)
+        return len(self.regs) - 1
+
+    def const(self, value) -> int:
+        # a raw mpf, or an int exponent (listed as itself)
+        if value not in self.interned:
+            name = str(value) if type(value) is int else f"k{len(self.interned)}"
+            self.interned[value] = self.reg(name, value)
+        return self.interned[value]
+
+    def op(self, kind: str, a: int, b=None, name: Optional[str] = None) -> int:
+        # An op already on the tape gives that op's register (value numbering),
+        # so a register is also guarded once: a second guard would pass as well.
+        if kind == "pow":
+            kind, b, name = "pow_int", self.const(b), f"{self.names[a]}_{b}"
+        fn = "guard" if kind == "guard" else f"mpf_{kind}"  # the libmp export the listing shows
+        if (fn, a, b) not in self.numbered:
+            self.numbered[fn, a, b] = self.reg(name or f"t{len(self.ops)}")
+            self.ops.append((fn, self.numbered[fn, a, b], a, b))
+        return self.numbered[fn, a, b]
+
+    def local(self, name: str, r: int) -> int:
+        return r  # registers are locals already
+
+    def coordinate(self, i: int, name: Optional[str] = None) -> int:
+        self.coords.append(self.reg(name or f"a{i}"))
+        return self.coords[-1]
+
+    def add(self, a: int, b: int) -> int:
+        return b if a == self.ZERO else self.op("add", a, b)
+
+    def group(self, r: int) -> int:
+        return r
+
+    def check(self, d: int) -> int:
+        self.op("guard", d, self.G)
+        return d
+
+    def finish(self, outs: List[int], arity: int) -> Callable:
+        mpmath, names, below, guard = self.mpmath, self.names, self.arith["below"], self.guard
 
         def guarded(d, g, bits, rnd):
             # abs(d) < G; the message is formatted under the call's workdps(prec)
-            if libmp.mpf_lt(libmp.mpf_abs(d, bits, rnd), g):
+            if below(d):
                 raise SingularEvaluation(
-                    f"denominator magnitude {make_mpf(d)} below guard {guard}")
+                    f"denominator magnitude {mpmath.mp.make_mpf(d)} below guard {guard}")
             return d
 
-        checked = set()  # each register is guarded once, and a constant here
+        listing = [", ".join(names[i] for i in self.coords) + " = to_mpf(coordinates)"]
+        tape, libmp = [], vars(mpmath.libmp)
+        for fn, dst, a, b in self.ops:
+            args = names[a] if b is None else f"{names[a]}, {names[b]}"
+            listing.append(f"guard({args})" if fn == "guard" else f"{names[dst]} = {fn}({args})")
+            tape.append((guarded, a, a, b) if fn == "guard" else (libmp[fn], dst, a, b))
+        listing.append("return [" + ", ".join(names[i] for i in outs) + "]")
+        regs, coords, prec, bits, rnd = self.regs, self.coords, self.prec, self.bits, self.rnd
+        workdps, make_mpf = mpmath.workdps, mpmath.mp.make_mpf
 
-        def fraction(c: CanonicalCoeff) -> int:
-            d = total(Poly.from_mono(sys, c.den_mono))
-            for f, k in c.den_factors:
-                d = mul(d, power(total(f), k))
-            # abs(d) < G never holds for G <= 0, not even for a NaN d
-            if guard > 0 and d not in checked:
-                checked.add(d)
-                if regs[d] is None or libmp.mpf_lt(libmp.mpf_abs(regs[d], bits, rnd), regs[G]):
-                    tape.append((guarded, d, d, G))
-                    listing.append(f"guard({names[d]}, G)")
-            return op("mpf_div", total(c.num), d)
+        def evaluate(*xs):
+            if len(xs) != arity:
+                raise TypeError(f"evaluate() takes {arity} coordinates, got {len(xs)}")
+            r = regs.copy()
+            with workdps(prec):
+                for i, x in zip(coords, xs):
+                    r[i] = to_mpf(x)._mpf_
+                for f, dst, a, b in tape:
+                    r[dst] = f(r[a], bits, rnd) if b is None else f(r[a], r[b], bits, rnd)
+            return [make_mpf(r[i]) for i in outs]
 
-        outs: List[int] = []
-        for target in targets:
-            if isinstance(target, CanonicalCoeff):
-                outs.append(fraction(target))
-                continue
-            acc = ZERO
-            for pe, c in target:
-                value = fraction(c)
-                for i, e in enumerate(pe):
-                    if e:
-                        value = mul(value, power(moms[i], e))
-                acc = add(acc, value)
-            outs.append(acc)
-
-    listing.insert(0, ", ".join(names[i] for i in coords) + " = to_mpf(coordinates)")
-    listing.append("return [" + ", ".join(names[i] for i in outs) + "]")
-    workdps = mpmath.workdps
-    arity = len(coords)
-
-    def evaluate(*xs):
-        if len(xs) != arity:
-            raise TypeError(f"evaluate() takes {arity} coordinates, got {len(xs)}")
-        r = regs.copy()
-        with workdps(prec):
-            for i, x in zip(coords, xs):
-                r[i] = to_mpf(x)._mpf_
-            for f, dst, a, b in tape:
-                r[dst] = f(r[a], bits, rnd) if b is None else f(r[a], r[b], bits, rnd)
-        return [make_mpf(r[i]) for i in outs]
-
-    evaluate.source = "\n".join(listing) + "\n"  # type: ignore[attr-defined]
-    return evaluate
+        evaluate.source = "\n".join(listing) + "\n"  # type: ignore[attr-defined]
+        return evaluate

@@ -16,7 +16,7 @@ import re
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, cage_model, ttw_model
 from hamext.cli import _initial_point, build_model, make_config, numeric_params
@@ -321,14 +321,28 @@ def test_special_float_coordinates_match_reference(name, data):
     denominator or of a coefficient's numerator, where it turns -0.0 into 0.0."""
     F, c, pt, guard = data.draw(st.tuples(_ppoly(name), _coeff(name), special_floats,
                                           st.sampled_from([None, 0.0, 1e-3, 0.3, 2.0])))
-    # the one known difference: the reference sums no term of a zero
-    # polynomial, so it never takes sin(inf), which the call's prelude does
-    assume(F.terms or math.isfinite(pt["q"]))
     want = verdict(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, None, guard))
     values = [pt[n] for n in F.space.coordinate_names]
     assert verdict(lambda: F.compile(PARAM_VALUES, None, guard)(*values)) == want
     want = verdict(lambda: ref_coeff_with(c, pt, PARAM_VALUES, None, guard))
     assert verdict(lambda: c.evaluate(pt, PARAM_VALUES, guard)) == want
+
+
+def test_generators_only_where_a_coefficient_is_evaluated():
+    """At an infinite angle ``math.sin`` raises.  The reference chain takes
+    the generators of every variable for each coefficient it evaluates, and
+    none for a polynomial without terms, so a compiled function computes them
+    only if it evaluates some coefficient, and raises where the reference
+    raises, even for a generator no term reads."""
+    space = SPACES["circular"]
+    pt = {"q": math.inf, "u": 0.5, "p_q": 0.25, "p_u": -1.0}
+    values = [pt[n] for n in space.coordinate_names]
+    for F in (space.zero(), space.p("q"), space.lift(space.system.coord("u"))):
+        for prec in (None, 50):
+            want = verdict(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec))
+            assert verdict(lambda: F.compile(PARAM_VALUES, prec)(*values)) == want
+    assert verdict(lambda: space.zero().compile(PARAM_VALUES)(*values)) == (float, "0x0.0p+0")
+    assert verdict(lambda: space.p("q").compile(PARAM_VALUES)(*values)) == "domain error"
 
 
 def test_zero_guard_compiles_no_check():
@@ -396,6 +410,28 @@ def test_constant_fractions_match_reference():
         assert F.compile(zero, prec, 0.3).source.count(check) == 2
     assert "/ d" not in space.compile([F - space.lift(S / u) * space.p("u") ** 2],
                                       PARAM_VALUES, None, 0.3).source
+    # a denominator without generators under a numerator with them (c1 + c2,
+    # and 1) is checked when it compiles: the guard 0 compiles no check, 0.3
+    # passes both, 2 fails both, and then each call raises
+    scaled = S / (c1 + c2)
+    G = space.lift(scaled) * space.p("q") + space.lift(S * u)
+    for params in (PARAM_VALUES, zero):
+        for prec in (None, 50):
+            for guard in (0.0, 0.3, 2.0):
+                fn = G.compile(params, prec, guard)
+                coeff = compile_numeric(sys, [scaled], params, prec, guard)
+                want = verdict(lambda: ref_ppoly_evaluate(G, pt, params, prec, guard))
+                alone = verdict(lambda: ref_coeff_with(scaled, pt, params, prec, guard))
+                for _ in range(2):
+                    assert verdict(lambda: fn(*values)) == want
+                    assert verdict(lambda: coeff(pt["q"], pt["u"])[0]) == alone
+    for prec, check, div in ((None, "if abs(d) < G: raise below(d)", " / "),
+                             (50, "guard(", "mpf_div(")):
+        counts = [G.compile(PARAM_VALUES, prec, guard).source.count(check)
+                  for guard in (0.0, 0.3, 2.0)]
+        assert counts == [0, 0, 2]
+        # the constant c1 + c2 is divided by; the constant 1 is not
+        assert G.compile(PARAM_VALUES, prec, 0.3).source.count(div) == 1
 
 
 # -- the gradients verify evaluates --------------------------------------------------
@@ -544,13 +580,16 @@ def _float_ops(source):
                for ln in source.splitlines()[1:] if " = " in ln)
 
 
-@pytest.mark.parametrize("model, rhs_ops, invariant_ops", [("ttw", 28, 601), ("cage", 15, 591)])
+@pytest.mark.parametrize("model, rhs_ops, invariant_ops", [("ttw", 28, 600), ("cage", 15, 589)])
 def test_flow_functions_per_call_op_counts(model, rhs_ops, invariant_ops):
     """Pinned work per call of the unguarded right-hand side and invariants.
     Before constant folding and dropping the no-ops they ran 48 and 698
     (ttw), 28 and 697 (cage): each sum of a term's numerator and
     denominator started from 0.0, each constant 1.0 was multiplied, and a
-    fraction without generators was divided out at every call."""
+    fraction without generators was divided out at every call.  A
+    denominator without generators under a numerator with them was still
+    divided by at every call until it was decided when compiling (601 and
+    591 ops for the invariants)."""
     built, params, field, invariants = _field_and_invariants(model)
     space = built.space
     assert _float_ops(space.compile(field, params, guard=0.0).source) == rhs_ops
@@ -562,9 +601,10 @@ def test_gradient_tape_op_count():
     """Pinned length of the 50-digit tape of the partials of ttw(3,2)'s H
     and K that ``verify`` compiles (2,109 before these rules): constant
     fractions are folded, an op repeated on the same registers is numbered
-    to the first, and a register is guarded once."""
+    to the first, a register is guarded once, and a division by a constant
+    denominator of exactly 1 is left out (1,957 before that)."""
     built, params = _catalog("verify", "ttw")
     grads = [G for F in (built.Hbar, built.Kbar.poly) for G in _gradient(F)]
     listing = built.space.compile(grads, params, 50).source.splitlines()
     assert listing[0].endswith("= to_mpf(coordinates)") and listing[-1].startswith("return")
-    assert len(listing) - 2 == 1957
+    assert len(listing) - 2 == 1954
