@@ -12,9 +12,10 @@ OPTIONS declares each command's options once, with types and defaults:
 each is a flag and, for build, verify and simulate, a --config key.  Every
 other option is refused by name, as are the inline model's options and a
 schema-less --A on a catalog model.  Each command loads only the numeric
-stack it uses: build and simulate load none of numpy, scipy and mpmath,
-verify numpy (for its rank check) and mpmath (for its 50-digit checks)
-but not scipy.
+stack it uses: no command loads numpy or scipy, build and simulate load
+no mpmath either, and verify loads mpmath for its 50-digit checks.  A
+parameter value whose float powers overflow as the functions compile is
+a configuration error.
 
 An --out that cannot be written is refused before any work is done.
 
@@ -478,6 +479,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OutputError as exc:
         sys.stderr.write(f"output error: {exc}\n")
         return EXIT_OUTPUT
+    except OverflowError as exc:
+        # a float power of a parameter, taken when verify or simulate
+        # compiles the functions; a flow that overflows aborts instead
+        sys.stderr.write(f"config error: a parameter value overflows a float "
+                         f"in the compiled functions: {exc}\n")
+        return EXIT_CONFIG
     except ValueError as exc:  # ConfigError among them
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -15,8 +15,11 @@ reproduce the same document byte for byte (timings stay out of it).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -197,35 +200,89 @@ def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
     return float(worst), len(rows), rejected
 
 
+#: Sweeps after which ``singular_values`` stops with ArithmeticError.
+JACOBI_MAX_SWEEPS = 60
+
+
+def singular_values(rows: Sequence[Sequence[float]]) -> List[float]:
+    """Singular values of the matrix with these rows (one or more), in no order.
+
+    One-sided Jacobi (Hestenes, J. SIAM 6 (1958)): rotate pairs of rows
+    until |a·b| <= sqrt(n)·eps·|a||b| for each pair, n the row length, or
+    until a rotation rounds to no change; the row norms are then the
+    singular values.  The tolerance, LAPACK's in ``dgesvj``, is the
+    rounding of a computed cosine: at eps alone some pairs flip by an ulp
+    for ever.  Never forming J·Jᵀ, which squares the condition number,
+    keeps small singular values to high relative accuracy (Demmel &
+    Veselić, SIAM J. Matrix Anal. Appl. 13 (1992)).  More rows than columns
+    cannot all become orthogonal, so such a matrix is taken transposed.
+    Still rotating after JACOBI_MAX_SWEEPS sweeps raises ArithmeticError:
+    giving up is not a rank.
+    """
+    if len(rows) > len(rows[0]):
+        rows = zip(*rows)
+    rows = [list(r) for r in rows]
+    tol = math.sqrt(len(rows[0])) * sys.float_info.epsilon
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            a, b = rows[i], rows[j]
+            na, nb = math.hypot(*a), math.hypot(*b)
+            if not na or not nb:
+                continue
+            # a·b/(na*nb) from the unit rows: a·b itself can underflow
+            cos = sum((x / na) * (y / nb) for x, y in zip(a, b))
+            if abs(cos) <= tol:
+                continue
+            # the rotation by angle theta with tan(theta) = t zeroes a·b
+            zeta = (nb / na - na / nb) / (2 * cos)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1 / math.hypot(1.0, t)
+            s = c * t
+            new = ([c * x - s * y for x, y in zip(a, b)],
+                   [s * x + c * y for x, y in zip(a, b)])
+            # a rotation that rounds to no change can do no more (subnormal rows)
+            if new != (a, b):
+                rows[i], rows[j] = new
+                rotated = True
+        if not rotated:
+            return [math.hypot(*r) for r in rows]
+    raise ArithmeticError(f"Jacobi SVD unconverged after {JACOBI_MAX_SWEEPS} sweeps")
+
+
 def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
                       params: Mapping[str, object],
                       threshold: float = RANK_THRESHOLD) -> Tuple[Dict[int, int], int, int]:
     """Histogram of numeric Jacobian ranks over the sampled points.
 
-    Each gradient row is normalized to unit length before the SVD so that
-    the relative threshold compares directions, not scales; this makes the
-    rank histogram exactly invariant under rescaling any function.
-    Singular values below ``threshold`` times the largest one count as
-    zero, which makes the generic-rank statement operational.
+    Each gradient row is divided by its ``math.hypot`` norm, which neither
+    overflows nor underflows where the sum of squares would, so that the
+    relative threshold compares directions, not scales: this makes the
+    rank histogram invariant under rescaling any function.  Singular
+    values (``singular_values``) below ``threshold`` times the largest one
+    count as zero, which makes the generic-rank statement operational.  A
+    sample with a row of no finite norm (an infinite or NaN entry, or a
+    norm past the float range) is rejected, like one at a singularity, and
+    is not ranked.
     """
-    # numpy only here, so that build and the other checks start without it
-    import numpy as np
-
     if not functions:
         raise ValueError("independence needs at least one function")
+    width = 2 * functions[0].space.dim
     grads = functions[0].space.compile([G for F in functions for G in _gradient(F)],
                                        params)
     rows, rejected = _sample(points, grads)
     hist: Dict[int, int] = {}
     for row in rows:
-        J = np.array(row, dtype=float).reshape(len(functions), -1)
-        norms = np.linalg.norm(J, axis=1, keepdims=True)
-        J = np.divide(J, norms, out=np.zeros_like(J), where=norms > 0)
-        sv = np.linalg.svd(J, compute_uv=False)
-        top = sv[0] if len(sv) else 0.0
-        rank = int(np.sum(sv > threshold * top)) if top > 0 else 0
+        J = [row[k:k + width] for k in range(0, len(row), width)]
+        norms = [math.hypot(*r) for r in J]
+        if not all(map(math.isfinite, norms)):
+            rejected += 1
+            continue
+        sv = singular_values([[x / n for x in r] if n else r for r, n in zip(J, norms)])
+        top = max(sv)
+        rank = sum(s > threshold * top for s in sv) if top > 0 else 0
         hist[rank] = hist.get(rank, 0) + 1
-    return hist, len(rows), rejected
+    return hist, sum(hist.values()), rejected
 
 
 def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint],

@@ -526,6 +526,21 @@ def test_param_value_too_large_for_a_float_refused(tmp_path, capsys, monkeypatch
     assert make_config(["verify", "--param", "omega=1e300"]).param == {"omega": 1e300}
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_param_power_overflow_is_a_config_error(command, capsys):
+    """``omega=1e200`` is a float, but its square is not: the functions of
+    ttw(3,2) overflow as they compile.  That is a configuration error, one
+    line after verify's claim timings, and no longer an OverflowError
+    traceback."""
+    argv = [command, "--model", "ttw", "--m", "3", "--n", "2", "--param", "omega=1e200"]
+    assert run(argv + (["--samples", "30"] if command == "verify" else [])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    *timings, last = captured.err.splitlines()
+    assert captured.out == "" and last.startswith(
+        "config error: a parameter value overflows a float in the compiled functions: ")
+    assert all(re.fullmatch(r"  \w+: \d+\.\d\ds", line) for line in timings)
+
+
 # -- which command reads which flag ---------------------------------------------
 
 #: The long flags each command accepts, written out by hand: the table in

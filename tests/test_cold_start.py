@@ -1,20 +1,26 @@
 """Each command loads only the numeric stack it uses.
 
 ``build`` needs neither numpy nor scipy nor mpmath nor the flat zero test,
-``verify`` needs numpy (its rank check) and mpmath (its 50-digit checks)
-but not scipy, and ``simulate`` needs none of the three: the integrator is
-``hamext._dop853``, and its rows stay Python floats up to the files.  Every case runs in a fresh interpreter,
-because this test process imported both long ago.  A blocked module is
-set to ``None`` in ``sys.modules``, so importing it raises ImportError.
-An import that nothing reads is refused everywhere.
+``verify`` needs mpmath (its 50-digit checks) but neither numpy nor scipy:
+its rank check is a pure-Python Jacobi SVD.  ``simulate`` needs none of
+the three: the integrator is ``hamext._dop853``, and its rows stay Python
+floats up to the files.  Every case runs in a fresh interpreter, because
+this test process imported all three long ago.  A blocked module is set
+to ``None`` in ``sys.modules``, so importing it raises ImportError.  An
+import that nothing reads is refused everywhere, and the third-party
+modules the package imports are exactly its declared runtime
+dependencies.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -72,8 +78,14 @@ def test_build_runs_without_numpy_and_scipy(tmp_path):
     assert blocked == free and blocked
 
 
-def test_verify_runs_without_scipy():
-    assert _hamext(VERIFY, blocked=("scipy",)) == _hamext(VERIFY)
+def test_verify_runs_without_numpy_and_scipy(tmp_path):
+    """The same report, on stdout and in an --out file, with numpy and scipy
+    blocked."""
+    out = tmp_path / "blocked.json"
+    free = _hamext(VERIFY)
+    assert _hamext(VERIFY, blocked=("numpy", "scipy")) == free
+    assert _hamext(VERIFY + ["--out", str(out)], blocked=("numpy", "scipy")) == b""
+    assert out.read_bytes() == free and json.loads(free)["all_ok"] is True
 
 
 def test_simulate_runs_without_numpy_and_scipy(tmp_path):
@@ -114,3 +126,28 @@ def test_no_unused_imports():
     paths = [path for folder in ("src/hamext", "tests", "scripts")
              for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"]
     assert paths and [u for path in paths for u in _unused_imports(path)] == []
+
+
+def _third_party_imports(folder: Path):
+    """The top-level modules imported anywhere under ``folder``, at any
+    depth (function-level imports included), outside the standard library
+    and the package itself."""
+    names = set()
+    for path in folder.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {n for n in names if n not in sys.stdlib_module_names and n != "hamext"}
+
+
+def test_runtime_dependencies_are_the_imports():
+    """``[project].dependencies`` names exactly the third-party modules that
+    ``src/hamext`` imports: none is missing, and none is stale.  Each
+    distribution here shares its name with its module."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert _third_party_imports(ROOT / "src" / "hamext") == declared

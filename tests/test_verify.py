@@ -1,14 +1,16 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from hamext import (ParamPoly, PhasePoint, PhaseSpace, Q, Var, VarSystem,
-                    cage_model, golden_K21, ttw_model)
+                    cage_model, golden_K21, ttw_model, verify)
 from hamext.cli import EXIT_CLAIM, main
-from hamext.verify import (GOLDEN_CONSTANT, ClaimResult, VerificationReport,
-                           VerifySettings, fd_crosscheck, golden_compare,
-                           independence_rank, numeric_commute_check,
-                           run_model_verification, sample_points,
+from hamext.verify import (GOLDEN_CONSTANT, RANK_THRESHOLD, ClaimResult,
+                           VerificationReport, VerifySettings, fd_crosscheck,
+                           golden_compare, independence_rank, numeric_commute_check,
+                           run_model_verification, sample_points, singular_values,
                            symbolic_commute_check)
 
 
@@ -90,6 +92,11 @@ def test_independence_examples(ttw, settings, ttw_params):
     hist3, _, _ = independence_rank([ttw.L], pts, ttw_params)
     assert set(hist3) == {1}
 
+    # more functions than coordinates: five functions of H, K and L
+    H, K, L = ttw.Hbar, ttw.Kbar.poly, ttw.L
+    hist5, used5, _ = independence_rank([H, K, L, H * L, H * H], pts, ttw_params)
+    assert hist5 == {3: used5} and used5 == used
+
 
 def test_rank_invariance_under_reorder_and_scale(ttw, settings, ttw_params):
     pts = _points(ttw, settings, 30)
@@ -98,6 +105,66 @@ def test_rank_invariance_under_reorder_and_scale(ttw, settings, ttw_params):
     scaled = [ttw.L * 7, ttw.Hbar * Q(-1, 3), ttw.Kbar.poly]
     hist_b, _, _ = independence_rank(scaled, pts, ttw_params)
     assert hist_a == hist_b
+    # squared, these gradient entries overflow a float; their norms do not
+    huge = [ttw.Hbar, ttw.Kbar.poly * Q(10**200), ttw.L]
+    hist_c, _, _ = independence_rank(huge, pts, ttw_params)
+    assert hist_a == hist_c
+
+
+def _unit_rows(rng, k, n, kind):
+    """``k`` unit rows of length ``n``: random, nearly dependent (the last
+    row the first plus noise of 1e-14 to 1e-2) or rank-deficient (the last
+    row a combination of the others)."""
+    rows = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(k)]
+    if kind == "near" and k > 1:
+        delta = 10 ** rng.uniform(-14, -2)
+        rows[-1] = [x + delta * rng.gauss(0, 1) for x in rows[0]]
+    elif kind == "deficient" and k > 1:
+        weights = [rng.gauss(0, 1) for _ in range(k - 1)]
+        rows[-1] = [sum(w * r[c] for w, r in zip(weights, rows)) for c in range(n)]
+    return [[x / math.hypot(*r) for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("kind", ["random", "near", "deficient"])
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 4), (3, 4), (3, 6), (4, 2), (5, 4), (5, 6)])
+def test_singular_values_match_numpy_svd(kind, k, n):
+    """Oracle: numpy.linalg.svd.  The singular values agree to round-off and
+    the ranks at RANK_THRESHOLD are equal, also with more rows than columns."""
+    rng = random.Random(f"{kind}-{k}-{n}")
+    for _ in range(50):
+        rows = _unit_rows(rng, k, n, kind)
+        ours = sorted(singular_values(rows), reverse=True)
+        theirs = np.linalg.svd(np.array(rows), compute_uv=False)
+        assert len(ours) == len(theirs) == min(k, n)
+        assert max(abs(a - b) for a, b in zip(ours, theirs)) < 1e-13
+        assert (sum(s > RANK_THRESHOLD * ours[0] for s in ours)
+                == int(np.sum(theirs > RANK_THRESHOLD * theirs[0])))
+
+
+def test_singular_values_give_up_past_the_sweep_cap(monkeypatch):
+    """Two rows that are not orthogonal need a rotation, then a sweep that
+    finds none.  Stopped after the first sweep, the loop raises instead of
+    returning unconverged values."""
+    rows = [[1.0, 0.0], [1.0, 1.0]]
+    golden = sorted(math.sqrt((3 + r * math.sqrt(5)) / 2) for r in (-1, 1))
+    assert sorted(singular_values(rows)) == pytest.approx(golden, rel=1e-15)
+    monkeypatch.setattr(verify, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError, match="after 1 sweeps"):
+        singular_values(rows)
+
+
+def test_non_finite_gradient_row_rejected(ttw, settings, ttw_params):
+    """A gradient entry that overflows to inf rejects its sample, counted
+    in ``rejected`` and not ranked; the other samples rank as usual."""
+    u = ttw.space.system.coord("u")
+    steep = ttw.space.lift(1 / u**20) * Q(10**300)
+    pts = _points(ttw, settings)
+    grad = ttw.space.compile([steep.d_position("u")], ttw_params)
+    overflowing = sum(not math.isfinite(grad(*pt.values)[0]) for pt in pts)
+    assert 0 < overflowing < len(pts)
+    hist, used, rejected = independence_rank([ttw.Hbar, steep, ttw.L], pts, ttw_params)
+    assert rejected == overflowing and used == len(pts) - overflowing
+    assert sum(hist.values()) == used
 
 
 def test_golden_compare_trivial_and_real(ttw, settings, ttw_params):
