@@ -33,7 +33,7 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .coeffs import Var
+from .coeffs import Var, ZeroCoefficientDivision
 from .exprparse import ExpressionError, parse_coeff
 from .extension import SeedConditionError, make_extension_space, solve_linear_seed
 from .models import CATALOG, ModelSpec, catalog_params, extend_model
@@ -278,7 +278,7 @@ def _inline_model(cfg: argparse.Namespace) -> ModelSpec:
     try:
         V = parse_coeff(cfg.V, sysv)
         eta = parse_coeff(cfg.eta, sysv)
-    except ExpressionError as exc:
+    except (ExpressionError, ZeroCoefficientDivision) as exc:
         raise ConfigError(str(exc))
     # a seed that fails its identity raises SeedConditionError
     return extend_model("inline", space, V, eta, m=cfg.m, n=cfg.n, c=c, L0=L0,

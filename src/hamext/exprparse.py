@@ -1,33 +1,39 @@
 """Parser for inline coefficient expressions.
 
-Accepts exactly the canonical fragment: rational numbers, the known
-parameter names, declared position variables, sin/cos/sinh/cosh/tan/tanh of
-a declared variable of the matching kind, and + - * / ^ with integer
-powers.  Anything else is rejected with a pointed message so the exact
-zero-test guarantee is never silently weakened.
+Python's own parser reads the text, with ``^`` taken as ``**``, so the
+precedence is Python's: ``-q^2`` is ``-(q^2)`` wherever it stands, and
+``+ - * /`` group left to right.  One walk over the tree then accepts
+exactly the canonical fragment: decimal numbers (exact: ``0.5`` is 1/2), the
+known parameter names, declared linear variables, sin/cos/tan of a declared
+circular variable and sinh/cosh/tanh of a hyperbolic one, and ``+ - * /``
+with integer-literal powers.  Every other character or form is refused with
+a pointed ``ExpressionError``, so the exact zero test is never silently
+weakened; so is input nested deeper than Python's parser (200 parentheses)
+or the walk's recursion (one level per operator) allows.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from fractions import Fraction
-from typing import List, Optional, Tuple
 
 from .coeffs import CanonicalCoeff, VarSystem
-from .params import PARAM_INDEX, ParamPoly, Q
+from .params import PARAM_INDEX
 
 
 class ExpressionError(ValueError):
     """Input is outside the supported coefficient grammar."""
 
 
-_TOKEN = re.compile(r"""
-    (?P<num>\d+(\.\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>\*\*|[()+\-*/^])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-""", re.VERBOSE)
+_BAD_CHAR = re.compile(r"[^0-9A-Za-z_.+\-*/^()\s]")
+_NUMBER = re.compile(r"\d+(\.\d+)?")
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: lambda x: x}
 
 _FUNCTIONS = {
     "sin": ("S", 1), "cos": ("C", 1), "tan": ("T", 1),
@@ -35,147 +41,69 @@ _FUNCTIONS = {
 }
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ExpressionError(f"unexpected character {m.group()!r} at "
-                                  f"position {m.start()} in {text!r}")
-        tok = m.group()
-        out.append(("op", "^") if tok == "**" else (kind, tok))
-    return out
+def _walk(node: ast.expr, src: str, sys: VarSystem) -> CanonicalCoeff:
+    def text(n: ast.expr) -> str:
+        return src[n.col_offset:n.end_col_offset]
 
-
-class _Parser:
-    def __init__(self, text: str, sys: VarSystem):
-        self.text = text
-        self.sys = sys
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Optional[Tuple[str, str]]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> Tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok != ("op", op):
-            raise ExpressionError(f"expected {op!r}, found {tok[1]!r} in {self.text!r}")
-
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> CanonicalCoeff:
-        tok = self.peek()
-        negate = False
-        if tok == ("op", "-"):
-            self.take()
-            negate = True
-        elif tok == ("op", "+"):
-            self.take()
-        value = self.term()
-        if negate:
-            value = -value
-        while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                value = value + self.term()
-            elif tok == ("op", "-"):
-                self.take()
-                value = value - self.term()
-            else:
-                return value
-
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> CanonicalCoeff:
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "*"):
-                self.take()
-                value = value * self.factor()
-            elif tok == ("op", "/"):
-                self.take()
-                value = value / self.factor()
-            else:
-                return value
-
-    # factor := atom ('^' signed-int)?
-    def factor(self) -> CanonicalCoeff:
-        value = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            kind, tok = self.take()
-            if kind != "num" or "." in tok:
-                raise ExpressionError(f"exponents must be integers, found {tok!r}")
-            value = value ** (sign * int(tok))
-        return value
-
-    def atom(self) -> CanonicalCoeff:
-        kind, tok = self.take()
-        if kind == "op" and tok == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        if kind == "op" and tok == "-":
-            return -self.atom()
-        if kind == "num":
-            return self.sys.lift(ParamPoly.scalar(Q(Fraction(tok))))
-        if kind == "name":
-            if tok in _FUNCTIONS:
-                return self.call(tok)
-            if tok in PARAM_INDEX:
-                return self.sys.param(tok)
-            if tok in self.sys:
-                v = self.sys.var(tok)
-                if not v.is_linear:
-                    raise ExpressionError(
-                        f"{tok!r} is an angular variable; only "
-                        f"sin({tok})-style generators are in the fragment"
-                    )
-                return self.sys.coord(tok)
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        left = _walk(node.left, src, sys)
+        return _BINARY[type(node.op)](left, _walk(node.right, src, sys))
+    if kind is ast.BinOp and type(node.op) is ast.Pow:
+        base, exp, sign = _walk(node.left, src, sys), node.right, 1
+        if type(exp) is ast.UnaryOp and type(exp.op) is ast.USub:
+            exp, sign = exp.operand, -1
+        if type(exp) is not ast.Constant or not text(exp).isdigit():
+            raise ExpressionError(f"exponents must be integers, found {text(node.right)!r}")
+        return base ** (sign * exp.value)
+    if kind is ast.UnaryOp and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_walk(node.operand, src, sys))
+    if kind is ast.Constant and _NUMBER.fullmatch(text(node)):
+        return sys.scalar(Fraction(text(node)))
+    if kind is ast.Name and node.id in PARAM_INDEX:
+        return sys.param(node.id)
+    if kind is ast.Name and node.id in sys:
+        if not sys.var(node.id).is_linear:
+            raise ExpressionError(f"{node.id!r} is an angular variable; only "
+                                  f"sin({node.id})-style generators are in the fragment")
+        return sys.coord(node.id)
+    if kind is ast.Name:
+        raise ExpressionError(
+            f"unknown name {node.id!r}; not a parameter, variable, or function")
+    if kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCTIONS:
+        fname, args = node.func.id, node.args
+        if node.keywords or len(args) != 1 or type(args[0]) is not ast.Name \
+                or args[0].id not in sys:
             raise ExpressionError(
-                f"unknown name {tok!r}; not a parameter, variable, or function"
-            )
-        raise ExpressionError(f"unexpected token {tok!r} in {self.text!r}")
-
-    def call(self, fname: str) -> CanonicalCoeff:
-        which, want_sign = _FUNCTIONS[fname]
-        self.expect_op("(")
-        kind, tok = self.take()
-        if kind != "name" or tok not in self.sys:
+                f"{fname} takes a bare declared variable, found {text(node)!r}")
+        which, tag = _FUNCTIONS[fname]
+        name = args[0].id
+        v = sys.var(name)
+        if v.is_linear or v.rate != 1 or v.tag != tag:
             raise ExpressionError(
-                f"{fname} takes a bare declared variable, found {tok!r}"
-            )
-        self.expect_op(")")
-        v = self.sys.var(tok)
-        if v.is_linear or v.rate != 1 or (1 if v.tag > 0 else -1) != want_sign \
-                or abs(v.tag) != 1:
-            raise ExpressionError(
-                f"{fname}({tok}) needs {tok!r} declared "
-                f"{'circular' if want_sign > 0 else 'hyperbolic'} with unit rate"
-            )
-        return getattr(self.sys, which)(tok)
+                f"{fname}({name}) needs {name!r} declared "
+                f"{'circular' if tag > 0 else 'hyperbolic'} with unit rate")
+        return getattr(sys, which)(name)
+    raise ExpressionError(f"{text(node)!r} is outside the expression fragment")
 
 
 def parse_coeff(text: str, sys: VarSystem) -> CanonicalCoeff:
     """Parse an inline expression into the exact coefficient ring."""
-    parser = _Parser(text, sys)
-    value = parser.expr()
-    if parser.peek() is not None:
-        raise ExpressionError(
-            f"trailing input {parser.peek()[1]!r} in {text!r}"
-        )
-    return value
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad.group()!r} at "
+                              f"position {bad.start()} in {text!r}")
+    src = " ".join(text.split()).replace("^", "**")
+    too_deep = ExpressionError(f"{text!r} is nested too deeply or too long to parse")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "1if": a SyntaxError, not a warning
+            tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"invalid syntax in {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # the parser's own stack limits
+        raise too_deep from None
+    try:
+        return _walk(tree.body, src, sys)
+    except RecursionError:
+        raise too_deep from None

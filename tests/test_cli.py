@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from hamext import Var, VarSystem
 from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                         EXIT_OUTPUT, EXIT_SEED, main, make_config)
+from hamext.exprparse import parse_coeff
 from hamext.models import CATALOG
 from hamext.verify import MIN_SAMPLES
 
@@ -603,3 +605,25 @@ def test_failed_write_is_an_output_error(tmp_path, capsys):
     assert proc.returncode == EXIT_OUTPUT
     assert proc.stderr == ("output error: cannot write /dev/full: "
                            "[Errno 28] No space left on device\n")
+
+
+def test_inline_deep_nesting_is_a_config_error(capsys):
+    """Python's parser refuses over 200 nested parentheses; the refusal is a
+    configuration error, not a traceback."""
+    deep = "(" * 300 + "q" + ")" * 300
+    rc = run(["build", "--model", "inline", "--c", "0", "--L0", "1",
+              "--eta", "q", "--V", deep])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_inline_division_by_zero_is_a_config_error(capsys):
+    rc = run(["build", "--model", "inline", "--c", "0", "--L0", "1",
+              "--eta", "q", "--V", "q^2 + 1/(q - q)"])
+    assert rc == EXIT_CONFIG
+    assert "identically-zero" in capsys.readouterr().err
+
+
+def test_inline_long_sum_parses():
+    sysv = VarSystem([Var.linear("q")])
+    assert parse_coeff(" + ".join(["q"] * 500), sysv) == 500 * sysv.coord("q")

@@ -64,13 +64,45 @@ def test_parse_rejects_fractional_power(sysv):
 def test_parse_rejects_garbage(sysv):
     with pytest.raises(ExpressionError, match="unexpected character"):
         parse_coeff("u @ 2", sysv)
-    with pytest.raises(ExpressionError, match="trailing"):
+    with pytest.raises(ExpressionError, match="invalid syntax"):
         parse_coeff("u 2", sysv)
-    with pytest.raises(ExpressionError, match="end of expression"):
+    with pytest.raises(ExpressionError, match="invalid syntax"):
         parse_coeff("u +", sysv)
+    with pytest.raises(ExpressionError, match="invalid syntax"):
+        parse_coeff("007", sysv)
+    with pytest.raises(ExpressionError, match="outside the expression fragment"):
+        parse_coeff("1e5 + u//2", sysv)
+
+
+def test_parse_redundant_parentheses(sysv):
+    assert parse_coeff("u^(2) + sin((q))", sysv) == sysv.coord("u") ** 2 + sysv.S("q")
 
 
 def test_parse_division_guard(sysv):
     from hamext import ZeroCoefficientDivision
     with pytest.raises(ZeroCoefficientDivision):
         parse_coeff("1/(sin(q)^2 + cos(q)^2 - 1)", sysv)
+
+
+@pytest.fixture(scope="module")
+def linear_q():
+    return VarSystem([Var.linear("q")])
+
+
+SIGNED_POWERS = [
+    ("2*-q^2", lambda q, one: -2 * q ** 2),
+    ("1 - -q^2", lambda q, one: one + q ** 2),
+    ("1/-q^2", lambda q, one: -one / q ** 2),
+    ("-q^2", lambda q, one: -(q ** 2)),
+    ("--q", lambda q, one: q),
+    ("q^-2", lambda q, one: one / q ** 2),
+    ("(-q)^2", lambda q, one: q ** 2),
+]
+
+
+@pytest.mark.parametrize("text, build", SIGNED_POWERS, ids=[t for t, _ in SIGNED_POWERS])
+def test_unary_minus_binds_looser_than_power(linear_q, text, build):
+    """A minus before a power negates the power wherever it stands, as in
+    Python: after an operator too, not only at the start."""
+    want = build(linear_q.coord("q"), linear_q.one())
+    assert parse_coeff(text, linear_q) == want
