@@ -10,13 +10,15 @@ method="DOP853", t_eval=...)``: the same initial-step rule, step control
 of 10 ulp of ``t``), error norm blending the two estimators, ``rtol``
 floor of 100 eps with its warning, dense output on the requested times,
 and the same messages.  Sums run left to right in plain IEEE arithmetic,
-so the digits do not depend on a BLAS kernel and agree with scipy's to
-round-off.  The error estimate is a difference of nearly equal sums, so
-its last digits, and with them the step sizes, depend on the order of
-summation.  At tight tolerances the two take the same steps and
-right-hand side evaluations; at loose ones a step near the acceptance
-threshold can go either way, and ``nfev`` can differ by a few percent,
-as it does in scipy itself when ``y0`` moves by one ulp.
+never through ``sum()``, whose float sums are compensated from Python 3.12
+on, so the digits depend neither on a BLAS kernel nor on the Python
+version, and agree with scipy's to round-off.  The error estimate is a
+difference of nearly equal sums, so its last digits, and with them the
+step sizes, depend on the order of summation.  At tight tolerances the
+two take the same steps and right-hand side evaluations; at loose ones a
+step near the acceptance threshold can go either way, and ``nfev`` can
+differ by a few percent, as it does in scipy itself when ``y0`` moves by
+one ulp.
 
 For a state of dimension ``n`` the stage combinations, the error norm and
 the interpolant are compiled once per solve into straight-line Python over
@@ -207,7 +209,11 @@ def _div(a: float, b: float) -> float:
 
 
 def _rms(x: Sequence[float]) -> float:
-    return math.sqrt(sum(v * v for v in x)) / len(x) ** 0.5
+    # a plain loop: sum() of floats is compensated from Python 3.12 on
+    total = 0.0
+    for v in x:
+        total += v * v
+    return math.sqrt(total) / len(x) ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:

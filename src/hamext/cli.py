@@ -302,24 +302,36 @@ def build_model(cfg: argparse.Namespace) -> ModelSpec:
     return entry["builder"](cfg.m, cfg.n, **kwargs)
 
 
-def _occurring_params(*polys: PPoly) -> List[str]:
-    """Names of the parameters that occur anywhere in the given polynomials."""
-    return [PARAMS[i] for i in sorted({i for pm in param_monomials(*polys) for i, _ in pm})]
+def _occurring_params(*polys: PPoly) -> Dict[str, int]:
+    """Each parameter that occurs anywhere in the given polynomials, with
+    its largest exponent there, in alphabet order."""
+    top: Dict[int, int] = {}
+    for pm in param_monomials(*polys):
+        for i, e in pm:
+            top[i] = max(top.get(i, 0), e)
+    return {PARAMS[i]: top[i] for i in sorted(top)}
 
 
 def numeric_params(cfg: argparse.Namespace, model: ModelSpec) -> Dict[str, float]:
     """Evaluation values: catalog defaults overridden by --param entries.
 
     Every parameter that occurs in H_bar, K_bar or L needs a value; a
-    missing one is a configuration error, never a silent zero.
+    missing one is a configuration error, never a silent zero.  So is a
+    value whose float power to the parameter's largest exponent overflows.
     """
     out = catalog_params(model.name) if model.name in CATALOG else {}
     out.update(cfg.param)
-    missing = [name for name in _occurring_params(model.Hbar, model.Kbar.poly, model.L)
-               if name not in out]
+    occurring = _occurring_params(model.Hbar, model.Kbar.poly, model.L)
+    missing = [name for name in occurring if name not in out]
     if missing:
         raise ConfigError(f"no value for parameter(s) {', '.join(missing)}; "
                           "give each as --param NAME=VALUE")
+    for name, e in occurring.items():
+        try:
+            out[name] ** e
+        except OverflowError:
+            raise ConfigError(f"--param {name}={out[name]!r}: {name}^{e} overflows "
+                              "a float") from None
     return out
 
 

@@ -41,6 +41,14 @@ _FUNCTIONS = {
 }
 
 
+def _quote(text: str) -> str:
+    """``repr(text)``, or for text over 60 characters its first 60 and its
+    length, so that an error message stays one short line."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60] + '…'!r} ({len(text):,} characters)"
+
+
 def _walk(node: ast.expr, src: str, sys: VarSystem) -> CanonicalCoeff:
     def text(n: ast.expr) -> str:
         return src[n.col_offset:n.end_col_offset]
@@ -54,7 +62,8 @@ def _walk(node: ast.expr, src: str, sys: VarSystem) -> CanonicalCoeff:
         if type(exp) is ast.UnaryOp and type(exp.op) is ast.USub:
             exp, sign = exp.operand, -1
         if type(exp) is not ast.Constant or not text(exp).isdigit():
-            raise ExpressionError(f"exponents must be integers, found {text(node.right)!r}")
+            raise ExpressionError(
+                f"exponents must be integers, found {_quote(text(node.right))}")
         return base ** (sign * exp.value)
     if kind is ast.UnaryOp and type(node.op) in _UNARY:
         return _UNARY[type(node.op)](_walk(node.operand, src, sys))
@@ -69,13 +78,13 @@ def _walk(node: ast.expr, src: str, sys: VarSystem) -> CanonicalCoeff:
         return sys.coord(node.id)
     if kind is ast.Name:
         raise ExpressionError(
-            f"unknown name {node.id!r}; not a parameter, variable, or function")
+            f"unknown name {_quote(node.id)}; not a parameter, variable, or function")
     if kind is ast.Call and type(node.func) is ast.Name and node.func.id in _FUNCTIONS:
         fname, args = node.func.id, node.args
         if node.keywords or len(args) != 1 or type(args[0]) is not ast.Name \
                 or args[0].id not in sys:
             raise ExpressionError(
-                f"{fname} takes a bare declared variable, found {text(node)!r}")
+                f"{fname} takes a bare declared variable, found {_quote(text(node))}")
         which, tag = _FUNCTIONS[fname]
         name = args[0].id
         v = sys.var(name)
@@ -84,7 +93,7 @@ def _walk(node: ast.expr, src: str, sys: VarSystem) -> CanonicalCoeff:
                 f"{fname}({name}) needs {name!r} declared "
                 f"{'circular' if tag > 0 else 'hyperbolic'} with unit rate")
         return getattr(sys, which)(name)
-    raise ExpressionError(f"{text(node)!r} is outside the expression fragment")
+    raise ExpressionError(f"{_quote(text(node))} is outside the expression fragment")
 
 
 def parse_coeff(text: str, sys: VarSystem) -> CanonicalCoeff:
@@ -92,15 +101,15 @@ def parse_coeff(text: str, sys: VarSystem) -> CanonicalCoeff:
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ExpressionError(f"unexpected character {bad.group()!r} at "
-                              f"position {bad.start()} in {text!r}")
+                              f"position {bad.start()} in {_quote(text)}")
     src = " ".join(text.split()).replace("^", "**")
-    too_deep = ExpressionError(f"{text!r} is nested too deeply or too long to parse")
+    too_deep = ExpressionError(f"{_quote(text)} is nested too deeply or too long to parse")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "1if": a SyntaxError, not a warning
             tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
-        raise ExpressionError(f"invalid syntax in {text!r}: {exc.msg}") from None
+        raise ExpressionError(f"invalid syntax in {_quote(text)}: {exc.msg}") from None
     except (RecursionError, MemoryError):  # the parser's own stack limits
         raise too_deep from None
     try:

@@ -237,8 +237,6 @@ def closed_form_PD(profile: ExtensionProfile, L: PPoly, r: int) -> Tuple[PPoly, 
         P = P + term * math.comb(r, 2 * k)
     D = space.zero()
     for k in range((r - 1) // 2 + 1):
-        if r - 2 * k - 1 < 0:
-            break
         term = (g * Q(m, n)) ** (2 * k + 1) * p_u ** (r - 2 * k - 1) * lam ** k
         D = D + term * math.comb(r, 2 * k + 1)
     return P, D.scale(Q(1, n))

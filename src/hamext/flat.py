@@ -102,7 +102,6 @@ class _Kernel:
         self.bias = sum(_HALF << (FIELD_BITS * f) for f in range(first_mom + space.dim))
         self.pkey = {pm: sum(e << shift[i] for i, e in pm) for pm in pmonos}
         self.preach = max((e for pm in pmonos for _, e in pm), default=0)
-        self.gkey: Dict[tuple, int] = {}
         # per variable: (field shift,) if linear, (C shift, S shift, rate, tag) if tagged
         self.vars = []
         # per tagged variable: (C slot, C shift, S shift, tag)
@@ -116,16 +115,11 @@ class _Kernel:
                 self.tagged.append((off, cs, ss, _exact(v.tag)))
         self.cpos = [pos for pos, _, _, _ in self.tagged]
         self.cmask = sum(1 << cs for _, cs, _, _ in self.tagged)
-        self._rewrite_cache: Dict[int, List[Tuple[int, object]]] = {0: [(0, 1)]}
 
     # -- flattening ---------------------------------------------------------
 
     def _gen_key(self, mono: tuple) -> int:
-        key = self.gkey.get(mono)
-        if key is None:
-            key = sum(e << s for e, s in zip(mono, self.gen_shift))
-            self.gkey[mono] = key
-        return key
+        return sum(e << s for e, s in zip(mono, self.gen_shift))
 
     def _flatten_into(self, terms: Dict[int, int], poly, base: int, lift: int):
         """Store ``lift * poly`` times the monomial packed in ``base``;
@@ -179,7 +173,6 @@ class _Kernel:
             return reduce(self.mul, parts) if parts else None
 
         D = cofactor([0] * len(cpos), {})
-        cofactors: Dict[tuple, Optional[_Flat]] = {}
         out = _Flat({}, 0)
         terms = out.terms
         reach = self.preach
@@ -196,10 +189,7 @@ class _Kernel:
                 lift *= factors[f][1] ** k
             reach = max(reach, max(pe), max(den),
                         max(max(m, default=0) for m in c.num.terms))
-            sig = (tuple(den[pos] for pos in cpos), c.den_factors)
-            if sig not in cofactors:
-                cofactors[sig] = cofactor(sig[0], dict(c.den_factors))
-            cof = cofactors[sig]
+            cof = cofactor([den[pos] for pos in cpos], dict(c.den_factors))
             target = terms if cof is None else {}
             self._flatten_into(target, c.num, base, lift)
             if cof is not None:
@@ -269,15 +259,12 @@ class _Kernel:
     def _rewrites(self, both: int) -> List[Tuple[int, object]]:
         """Key offsets and factors that take C^2 to 1 - tag*S^2 for every
         tagged variable whose C bit is set in ``both``."""
-        out = self._rewrite_cache.get(both)
-        if out is None:
-            out = [(0, 1)]
-            for _, cs, ss, tag in self.tagged:
-                if both >> cs & 1:
-                    c2, s2 = 2 << cs, 2 << ss
-                    out = [(off + d, k * f) for off, k in out
-                           for d, f in ((-c2, 1), (s2 - c2, -tag))]
-            self._rewrite_cache[both] = out
+        out = [(0, 1)]
+        for _, cs, ss, tag in self.tagged:
+            if both >> cs & 1:
+                c2, s2 = 2 << cs, 2 << ss
+                out = [(off + d, k * f) for off, k in out
+                       for d, f in ((-c2, 1), (s2 - c2, -tag))]
         return out
 
     def mul(self, a: _Flat, b: _Flat) -> _Flat:

@@ -230,8 +230,11 @@ def singular_values(rows: Sequence[Sequence[float]]) -> List[float]:
             na, nb = math.hypot(*a), math.hypot(*b)
             if not na or not nb:
                 continue
-            # a·b/(na*nb) from the unit rows: a·b itself can underflow
-            cos = sum((x / na) * (y / nb) for x, y in zip(a, b))
+            # a·b/(na*nb) from the unit rows: a·b itself can underflow; a
+            # plain loop, as sum() of floats is compensated from Python 3.12 on
+            cos = 0.0
+            for x, y in zip(a, b):
+                cos += (x / na) * (y / nb)
             if abs(cos) <= tol:
                 continue
             # the rotation by angle theta with tan(theta) = t zeroes a·b

@@ -11,7 +11,7 @@ from hamext import Var, VarSystem
 from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                         EXIT_OUTPUT, EXIT_SEED, main, make_config)
 from hamext.exprparse import parse_coeff
-from hamext.models import CATALOG
+from hamext.models import CATALOG, catalog_params
 from hamext.verify import MIN_SAMPLES
 
 
@@ -529,12 +529,28 @@ def test_param_value_too_large_for_a_float_refused(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
-def test_param_power_overflow_is_a_config_error(command, capsys):
-    """``omega=1e200`` is a float, but its square is not: the functions of
-    ttw(3,2) overflow as they compile.  That is a configuration error, one
-    line after verify's claim timings, and no longer an OverflowError
-    traceback."""
-    argv = [command, "--model", "ttw", "--m", "3", "--n", "2", "--param", "omega=1e200"]
+def test_param_power_overflow_is_refused_before_any_claim(command, capsys):
+    """``omega=1e120`` is a float, but ttw(3,2) holds ``omega^3``, which is
+    not: the value is refused up front, naming the parameter and the power,
+    before any claim runs or prints its timing."""
+    argv = [command, "--model", "ttw", "--m", "3", "--n", "2", "--param", "omega=1e120"]
+    assert run(argv + (["--samples", "30"] if command == "verify" else [])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --param omega=1e+120: omega^3 overflows a float\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_param_power_overflow_is_a_config_error(command, capsys, monkeypatch):
+    """An overflow that the up-front check cannot foresee, a power raised
+    in a derivative, still ends as a configuration error when the functions
+    compile, one line after verify's claim timings, and not as an
+    OverflowError traceback.  Here the check is bypassed to force one."""
+    from hamext import cli
+
+    monkeypatch.setattr(cli, "numeric_params",
+                        lambda cfg, model: dict(catalog_params("ttw"), omega=1e200))
+    argv = [command, "--model", "ttw", "--m", "3", "--n", "2"]
     assert run(argv + (["--samples", "30"] if command == "verify" else [])) == EXIT_CONFIG
     captured = capsys.readouterr()
     *timings, last = captured.err.splitlines()
@@ -615,6 +631,18 @@ def test_inline_deep_nesting_is_a_config_error(capsys):
               "--eta", "q", "--V", deep])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_refused_long_expression_is_quoted_short(capsys):
+    """A refused input is quoted by its first 60 characters and its length,
+    not echoed whole: 5,000 terms give one short line."""
+    long_sum = "+".join(["q"] * 5000)
+    rc = run(["build", "--model", "inline", "--c", "0", "--L0", "1",
+              "--eta", "q", "--V", long_sum])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert f"{long_sum[:60] + '…'!r} (9,999 characters)" in err
 
 
 def test_inline_division_by_zero_is_a_config_error(capsys):

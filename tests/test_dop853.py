@@ -107,3 +107,9 @@ def test_singular_approach_matches_scipy(line_space, tol):
     assert our_warnings == their_warnings
     assert len(our_warnings) == (tol < 100 * _dop853.EPS)
 
+
+
+def test_rms_sums_left_to_right():
+    # a compensated sum (Python 3.12's sum() of floats) would keep the
+    # hundred 1e-16 squares that a left-to-right sum drops against 1.0
+    assert _dop853._rms([1.0] + [1e-8] * 100) == 1.0 / 101 ** 0.5

@@ -264,11 +264,15 @@ def test_parampoly_from_rationals(terms):
     assert pp_items(pp) == [(m, Q(c)) for m, c in terms.items() if c]
 
 
-def test_parampoly_unit_operand_is_returned():
+def test_parampoly_unit_operand():
+    # a unit factor takes the general product, which keeps the value and
+    # the term order; a unit scale returns the operand itself
     a = ParamPoly.var("c1") * Q(3, 2) + ParamPoly.var("omega")
     one = ParamPoly.one()
-    assert a * one is a and one * a is a and a.scale(1) is a
-    assert pp_items(a * 1) == pp_items(ref_pp_mul(a, one))
+    for got in (a * one, one * a, a * 1):
+        assert pp_items(got) == pp_items(a) == pp_items(ref_pp_mul(a, one))
+        assert_canonical(got)
+    assert a.scale(1) is a
 
 
 @given(st.data())
@@ -406,9 +410,9 @@ def test_reduce_raw(data):
 # -- shape-aware products --------------------------------------------------------
 #
 # A rational-constant factor of ``CanonicalCoeff.__mul__`` scales the other
-# operand instead of running ``Poly.mul`` and ``_normalize``, and a one-term
-# factor of ``PPoly.__mul__`` shifts the other operand's exponents instead of
-# summing into an accumulator.  The references below are the general
+# operand instead of running ``Poly.mul`` and ``_normalize``.  A one-term
+# factor of ``PPoly.__mul__`` takes the general double loop, which must keep
+# the other operand's order.  The references below are the general
 # products, built on the plain kernels above.
 
 
