@@ -11,11 +11,12 @@ Commands
 OPTIONS declares each command's options once, with types and defaults:
 each is a flag and, for build, verify and simulate, a --config key.  Every
 other option is refused by name, as are the inline model's options and a
-schema-less --A on a catalog model.  Each command loads only the numeric
-stack it uses: no command loads numpy or scipy, build and simulate load
-no mpmath either, and verify loads mpmath for its 50-digit checks.  A
-parameter value whose float powers overflow as the functions compile is
-a configuration error.
+schema-less --A on a catalog model.  Each command loads only what it
+uses: build the exact ring alone, the inline model the parser too;
+simulate adds the numeric compiler and the integrator, verify the
+compiler, the flat zero test and mpmath for its 50-digit checks.  No
+command loads numpy or scipy.  A parameter value whose float powers
+overflow as the functions compile is a configuration error.
 
 An --out that cannot be written is refused before any work is done.
 
@@ -34,12 +35,10 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .coeffs import Var, ZeroCoefficientDivision
-from .exprparse import ExpressionError, parse_coeff
 from .extension import SeedConditionError, make_extension_space, solve_linear_seed
 from .models import CATALOG, ModelSpec, catalog_params, extend_model
 from .params import PARAMS, ParamPoly, Q
 from .phase import PhasePoint, PPoly, param_monomials
-from .verify import MIN_SAMPLES, VerifySettings, run_model_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,9 +67,10 @@ class _Parser(argparse.ArgumentParser):
 # flag is --name with "_" spelled "-".  A --config value is null only where
 # the default is None ("not given").  ``param`` collects NAME=VALUE entries,
 # which a --config file may also give as a mapping.  Each default lives in
-# one place: verify's are read from VerifySettings, and simulate's --tol and
-# --stride are None here so that TrajectoryConfig fills them in (cli does
-# not import dynamics).
+# one place: verify's --samples, --precision and --seed name the field of
+# VerifySettings that make_config reads it from, and simulate's --tol and
+# --stride are None here so that TrajectoryConfig fills them in (cli
+# imports verify for the verify command only, and dynamics for simulate).
 _MODEL = {
     "model": (str, "ttw", {"help": "catalog name (ttw, cage, harmonic) or 'inline'"}),
     "m": (int, 1),
@@ -90,9 +90,8 @@ _NUMERIC = {
 }
 OPTIONS: Dict[str, Dict[str, tuple]] = {
     "build": _MODEL,
-    "verify": {**_MODEL, **_NUMERIC, "samples": (int, VerifySettings.samples),
-               "precision": (int, VerifySettings.precision),
-               "seed": (int, VerifySettings.rng_seed),
+    "verify": {**_MODEL, **_NUMERIC, "samples": (int, "samples"),
+               "precision": (int, "precision"), "seed": (int, "rng_seed"),
                "inject_defect": (str, None, {"choices": ("omega-shift",), "help":
                                              "test-only tampering of the first integral"})},
     "simulate": {**_MODEL, **_NUMERIC, "t_final": (float, 100.0), "stride": (int, None),
@@ -228,13 +227,18 @@ def make_config(argv: Sequence[str]) -> argparse.Namespace:
     if "m" in options and (cfg.m < 1 or cfg.n < 1):
         raise ConfigError("m and n must be positive integers")
     if command == "verify":
-        for name in ("samples", "precision"):
-            if getattr(cfg, name) < 1:
-                raise ConfigError(f"--{name} must be a positive integer, "
-                                  f"got {getattr(cfg, name)}")
-        if cfg.samples < MIN_SAMPLES:
-            raise ConfigError(f"--samples {cfg.samples}: a sampled claim needs at least "
-                              f"{MIN_SAMPLES} accepted samples")
+        from .verify import MIN_PRECISION, MIN_SAMPLES, VerifySettings
+
+        vars(cfg).update({k: getattr(VerifySettings, options[k][1])
+                          for k in ("samples", "precision", "seed") if k not in data})
+        for name, least, unit in (("samples", MIN_SAMPLES, "accepted samples"),
+                                  ("precision", MIN_PRECISION, "digits")):
+            value = getattr(cfg, name)
+            if value < 1:
+                raise ConfigError(f"--{name} must be a positive integer, got {value}")
+            if value < least:
+                raise ConfigError(f"--{name} {value}: a sampled claim needs at least "
+                                  f"{least} {unit}")
     for name in ("tol", "t_final"):
         value = vars(cfg).get(name)
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -263,6 +267,8 @@ def _check_out(cfg: argparse.Namespace):
 
 
 def _inline_model(cfg: argparse.Namespace) -> ModelSpec:
+    from .exprparse import ExpressionError, parse_coeff  # loaded by inline models only
+
     if cfg.V is None or cfg.eta is None:
         raise ConfigError("inline models need both --V and --eta")
     c = _rat(cfg.c)
@@ -375,7 +381,16 @@ def cmd_build(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def run_model_verification(*args, **kwargs):
+    """``verify.run_model_verification``; verify loads with its command."""
+    from . import verify
+
+    return verify.run_model_verification(*args, **kwargs)
+
+
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    from .verify import VerifySettings
+
     model = build_model(cfg)
     params = numeric_params(cfg, model)
     settings = VerifySettings(samples=cfg.samples, precision=cfg.precision,

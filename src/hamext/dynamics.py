@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from . import _dop853
-from .coeffs import SingularEvaluation
+from .numeric import SingularEvaluation  # the compiler loads with this module
 from .phase import PhasePoint, PhaseSpace, PPoly
 
 

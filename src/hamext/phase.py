@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .coeffs import (CanonicalCoeff, VarSystem, ZeroCoefficientDivision,
-                     compile_numeric)
+from .coeffs import CanonicalCoeff, VarSystem, ZeroCoefficientDivision
 from .params import ParamPoly, Q, QONE, accumulate, as_parampoly, join_signed, power
 
 PExp = Tuple[int, ...]
@@ -85,6 +84,8 @@ class PhaseSpace:
         positions then momenta, that returns the list of their values; see
         ``compile_numeric``, which computes in floats or at ``prec`` digits
         and sets the default guard."""
+        from .numeric import compile_numeric  # build never loads the compiler
+
         if any(F.space != self for F in functions):
             raise PhaseSpaceMismatch("compiled functions live on another phase space")
         return compile_numeric(self.system, [tuple(F.terms.items()) for F in functions],

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .coeffs import SingularEvaluation
+from .numeric import SingularEvaluation  # the compiler loads with this module
 from .models import ModelSpec, golden_K21
 from .phase import PhasePoint, PhaseSpace, PPoly, apply_XL, poisson_bracket
 from .extension import recursion_Gn
@@ -32,12 +32,14 @@ from .extension import recursion_Gn
 
 #: The regular box that samples are drawn from, the singular-value ratio
 #: below which a gradient direction counts as dependent, the accepted
-#: samples a claim without a symbolic verdict needs, and the pinned ratio
-#: of the generated K_bar of ttw(1,1) to its golden form.
+#: samples a claim without a symbolic verdict needs, the least precision
+#: whose guard 10^(10 - precision) is at most the float path's 1e-12, and
+#: the pinned ratio of the generated K_bar of ttw(1,1) to its golden form.
 POSITION_RANGE = (0.3, 1.2)
 MOMENTUM_RANGE = (-1.0, 1.0)
 RANK_THRESHOLD = 1e-8
 MIN_SAMPLES = 30
+MIN_PRECISION = 22
 GOLDEN_CONSTANT = 1.0
 
 

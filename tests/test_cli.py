@@ -12,7 +12,7 @@ from hamext.cli import (EXIT_CLAIM, EXIT_CONFIG, EXIT_INTEGRATION, EXIT_OK,
                         EXIT_OUTPUT, EXIT_SEED, main, make_config)
 from hamext.exprparse import parse_coeff
 from hamext.models import CATALOG, catalog_params
-from hamext.verify import MIN_SAMPLES
+from hamext.verify import MIN_PRECISION, MIN_SAMPLES
 
 
 def run(argv):
@@ -132,10 +132,13 @@ def test_config_errors():
 
 def test_config_values_need_the_flag_type(tmp_path, capsys):
     """A --config value has the type its flag parses to, or is null where
-    the default is None; anything else is refused by name, not a crash."""
+    the default is None; anything else is refused by name, not a crash.
+    verify's --samples, --precision and --seed default to VerifySettings's
+    values, none of them None, so null is refused for each."""
     cfgfile = tmp_path / "job.json"
     # verify reads every one of these fields
-    for doc in ({"m": "3"}, {"samples": "40"}, {"precision": True},
+    for doc in ({"m": "3"}, {"samples": "40"}, {"precision": True}, {"samples": None},
+                {"precision": None}, {"seed": None},
                 {"tol": "1e-3"}, {"L0": None}, {"param": {"omega": 0.5}},
                 {"param": "omega=1/2"}):
         cfgfile.write_text(json.dumps(doc))
@@ -185,6 +188,44 @@ def test_verify_samples_below_the_minimum_refused(capsys):
     err = capsys.readouterr().err
     assert f"--samples {MIN_SAMPLES - 1}:" in err and f"at least {MIN_SAMPLES}" in err
     assert make_config(["verify", "--samples", str(MIN_SAMPLES)]).samples == MIN_SAMPLES
+
+
+def test_verify_precision_below_the_minimum_refused(tmp_path, capsys):
+    """Below 22 digits the singularity guard 10^(10 - precision) is above the
+    float path's 1e-12 and rejects regular samples (at 10 digits every one),
+    so --precision 21 is refused, as a flag or in --config, and at 22 a
+    correct model passes."""
+    assert MIN_PRECISION == 22
+    cfgfile = tmp_path / "job.json"
+    args = ["verify", "--model", "ttw", "--samples", "30"]
+    assert run(args + ["--precision", "21"]) == EXIT_CONFIG
+    assert "--precision 21: a sampled claim needs at least 22 digits" in capsys.readouterr().err
+    cfgfile.write_text(json.dumps({"precision": 21}))
+    assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "--precision 21:" in capsys.readouterr().err
+    cfgfile.write_text(json.dumps({"precision": 22}))
+    assert make_config(args + ["--config", str(cfgfile)]).precision == 22
+    assert run(args + ["--precision", "22"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["precision"] == 22 and doc["all_ok"] is True
+
+
+def test_verify_calls_the_stage_functions_through_cli_attributes(monkeypatch, capsys):
+    """The benchmark times a verify job by replacing cli.build_model and
+    cli.run_model_verification, so cmd_verify calls each through its module
+    attribute, not a copy bound elsewhere."""
+    from hamext import cli
+
+    calls = []
+    for name in ("build_model", "run_model_verification"):
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    assert cli.main(["verify", "--model", "ttw", "--m", "1", "--n", "1",
+                     "--samples", "30"]) == EXIT_OK
+    assert calls == ["build_model", "run_model_verification"]
+    assert json.loads(capsys.readouterr().out)["all_ok"] is True
 
 
 def test_tol_must_be_positive_and_finite(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Each command loads only the numeric stack it uses.
+"""Each command loads only what it uses.
 
-``build`` needs neither numpy nor scipy nor mpmath nor the flat zero test,
+``build`` of a catalog model needs the exact ring alone: neither numpy nor
+scipy nor mpmath, nor the numeric compiler, ``verify``, the parser, the
+flat zero test or the integrator; an inline model adds the parser.
 ``verify`` needs mpmath (its 50-digit checks) but neither numpy nor scipy:
 its rank check is a pure-Python Jacobi SVD.  ``simulate`` needs none of
 the three: the integrator is ``hamext._dop853``, and its rows stay Python
@@ -27,6 +29,8 @@ SRC = str(ROOT / "src")
 
 BUILD = ["build", "--model", "ttw", "--m", "1", "--n", "1", "--omega", "sym"]
 VERIFY = ["verify", "--model", "ttw", "--m", "1", "--n", "1", "--samples", "30"]
+INLINE = ["build", "--model", "inline", "--c", "1", "--kappa", "1", "--omega", "sym",
+          "--V", "(c1 + c2*cos(q))/sin(q)^2", "--eta", "sin(q)", "--m", "2", "--n", "1"]
 SIMULATE = ["simulate", "--model", "harmonic", "--param", "L0=1/2",
             "--t-final", "1", "--stride", "5"]
 
@@ -67,15 +71,34 @@ def test_cli_import_loads_no_mpmath():
     assert out.decode().strip() == "[]"
 
 
+#: The package modules that a catalog build does not load.
+NOT_FOR_BUILD = ("hamext.verify", "hamext.numeric", "hamext.exprparse", "hamext.flat",
+                 "hamext.dynamics", "hamext._dop853")
+
+
+def test_cli_import_loads_no_numeric_code():
+    out = _python("-c", "import sys, hamext.cli\n"
+                        f"print(sorted(m for m in {NOT_FOR_BUILD!r} if m in sys.modules))")
+    assert out.decode().strip() == "[]"
+
+
 def test_build_runs_without_numpy_and_scipy(tmp_path):
-    """The same stdout and --out file with numpy, scipy, mpmath and the
-    flat zero test blocked."""
+    """The same stdout and --out file with numpy, scipy, mpmath and every
+    package module a catalog build does not use blocked."""
     outs = [tmp_path / "blocked.json", tmp_path / "free.json"]
     assert _hamext(BUILD + ["--out", str(outs[0])],
-                   blocked=("numpy", "scipy", "mpmath", "hamext.flat")) == \
+                   blocked=("numpy", "scipy", "mpmath", *NOT_FOR_BUILD)) == \
         _hamext(BUILD + ["--out", str(outs[1])])
     blocked, free = (out.read_bytes() for out in outs)
     assert blocked == free and blocked
+
+
+def test_inline_build_runs_without_numeric_code():
+    """An inline build loads the parser, and still neither the compiler nor
+    verify, the flat zero test or the integrator."""
+    blocked = ("hamext.verify", "hamext.numeric", "hamext.flat", "hamext.dynamics")
+    doc = json.loads(_hamext(INLINE, blocked=blocked))
+    assert doc["model"]["name"] == "inline" and doc["K_modified"]
 
 
 def test_verify_runs_without_numpy_and_scipy(tmp_path):

@@ -20,9 +20,10 @@ from hypothesis import given, strategies as st
 
 from hamext import ParamPoly, PhaseSpace, Q, Var, VarSystem, cage_model, ttw_model
 from hamext.cli import _initial_point, build_model, make_config, numeric_params
-from hamext.coeffs import Poly, SingularEvaluation, compile_numeric
+from hamext.coeffs import Poly, SingularEvaluation
 from hamext.dynamics import (TrajectoryConfig, compile_ppoly, hamiltons_equations,
                              integrate_adaptive, invariant_values)
+from hamext.numeric import compile_numeric
 from hamext.params import PARAMS
 from hamext.verify import _gradient
 
