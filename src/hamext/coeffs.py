@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ._record import record
 from .params import (PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _product, accumulate,
                      as_parampoly, as_q, from_numerators, join_signed, power)
 
@@ -48,7 +48,7 @@ class SingularEvaluation(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     """A position variable together with its generator kind.
 
@@ -65,6 +65,8 @@ class Var:
             raise ValueError(f"variable name {self.name!r} must be an identifier")
         if self.tag == 0 and self.rate != 1:
             raise ValueError("linear variables take no rate")
+        if self.tag != 0 and self.rate == 0:
+            raise ValueError(f"tagged variable {self.name!r} needs a nonzero rate")
 
     @property
     def is_linear(self) -> bool:

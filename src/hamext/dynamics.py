@@ -20,10 +20,10 @@ row (17 significant digits).  This module does not import numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from . import _dop853
+from ._record import record
 from .numeric import SingularEvaluation  # the compiler loads with this module
 from .phase import PhasePoint, PhaseSpace, PPoly
 
@@ -73,7 +73,7 @@ def hamiltons_equations(H: PPoly, params: Mapping[str, object]) -> Callable:
 # integration and monitoring
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrajectoryConfig:
     """Initial data and error control (``tol`` is relative and absolute)."""
 
@@ -92,7 +92,7 @@ class TrajectoryConfig:
             raise ValueError("stride must be at least 2")
 
 
-@dataclass
+@record
 class Trajectory:
     space: PhaseSpace
     t: List[float]
@@ -121,7 +121,7 @@ def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
                       message=message, nfev=nfev)
 
 
-@dataclass
+@record
 class DriftReport:
     """Per-invariant conservation statistics along a trajectory.
 

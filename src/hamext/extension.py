@@ -11,9 +11,9 @@ general degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import record, replace
 from .coeffs import CanonicalCoeff, Var, VarSystem
 from .params import ParamPoly, Q, as_parampoly, as_q
 from .phase import PhaseSpace, PPoly, apply_U, apply_W, apply_XL, confinement
@@ -36,7 +36,7 @@ class SeedConditionError(ValueError):
 # profiles
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtensionProfile:
     """Integer pair (m, n) plus the profile functions on the extension variable.
 
@@ -161,7 +161,7 @@ def check_seed(L: PPoly, G: PPoly, c, L0) -> Tuple[PPoly, bool]:
     return resid, resid.is_zero
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeedSolution:
     """Certified pair (L, G) solving the structural identity."""
 
@@ -242,7 +242,7 @@ def closed_form_PD(profile: ExtensionProfile, L: PPoly, r: int) -> Tuple[PPoly, 
     return P, D.scale(Q(1, n))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModifiedK:
     """Result of the modified first-integral construction.
 
@@ -305,7 +305,7 @@ def expand_modified_K(profile: ExtensionProfile, seed: SeedSolution) -> PPoly:
 # compatibility conditions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatibilityReport:
     """Outcome of the five compatibility conditions for W-powers to commute."""
 
@@ -418,7 +418,7 @@ def modified_coupling_functions(profile: ExtensionProfile) -> Tuple[CanonicalCoe
 # linear seeds (degree one in the momentum)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinearSeedFamily:
     """One row of the linear-seed classification: eta, V, and certificates."""
 

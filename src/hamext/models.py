@@ -21,10 +21,10 @@ command line go through the same assembler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from ._record import record
 from .coeffs import CanonicalCoeff, Var
 from .extension import (ExtensionProfile, ModifiedK, SeedSolution,
                         build_extended_H, build_modified_K,
@@ -33,7 +33,7 @@ from .params import ParamPoly, Q, as_parampoly
 from .phase import PhaseSpace, PPoly, confinement
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelSpec:
     """A fully-built catalog model: base system, profile, and integrals."""
 

@@ -14,10 +14,10 @@ All values are immutable and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from ._record import record
 from .coeffs import CanonicalCoeff, VarSystem, ZeroCoefficientDivision
 from .params import ParamPoly, Q, QONE, accumulate, as_parampoly, join_signed, power
 
@@ -28,7 +28,7 @@ class PhaseSpaceMismatch(ValueError):
     """Operands live on different phase spaces."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhaseSpace:
     """Positions with generator kinds, matching momenta, optional extension pair."""
 
@@ -38,6 +38,8 @@ class PhaseSpace:
     def __post_init__(self):
         if self.ext is not None and self.ext not in self.system:
             raise ValueError(f"extension variable {self.ext!r} not in system")
+        if len(set(self.coordinate_names)) != 2 * self.dim:
+            raise ValueError(f"coordinate names repeat: {self.coordinate_names}")
 
     @property
     def dim(self) -> int:
@@ -92,7 +94,7 @@ class PhaseSpace:
                                params, prec, guard, momenta=self.dim)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhasePoint:
     """Numeric values for every position and momentum coordinate."""
 

@@ -21,9 +21,9 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._record import field, record
 from .numeric import SingularEvaluation  # the compiler loads with this module
 from .models import ModelSpec, golden_K21
 from .phase import PhasePoint, PhaseSpace, PPoly, apply_XL, poisson_bracket
@@ -43,7 +43,7 @@ MIN_PRECISION = 22
 GOLDEN_CONSTANT = 1.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerifySettings:
     """Sampling and tolerance knobs shared by the numeric checks."""
 
@@ -72,7 +72,7 @@ def sample_points(space: PhaseSpace, count: int, rng: random.Random) -> List[Pha
     return pts
 
 
-@dataclass
+@record
 class ClaimResult:
     claim: str
     ok: bool
@@ -96,7 +96,7 @@ class ClaimResult:
         return out
 
 
-@dataclass
+@record
 class VerificationReport:
     model: Dict[str, object]
     rng_seed: int

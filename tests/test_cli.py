@@ -397,8 +397,6 @@ def test_cli_defaults_are_the_library_defaults(capsys, monkeypatch):
     """verify's --samples, --precision, --seed and --tol, and simulate's --tol
     and --stride, default to the values of VerifySettings and
     TrajectoryConfig, which state each default once."""
-    from dataclasses import fields
-
     from hamext import dynamics
     from hamext.verify import VerifySettings
 
@@ -415,10 +413,10 @@ def test_cli_defaults_are_the_library_defaults(capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "integrate_adaptive", spy)
     assert run(["simulate", "--model", "harmonic", "--param", "L0=1/2",
                 "--t-final", "0.5"]) == EXIT_OK
-    defaults = {f.name: f.default for f in fields(dynamics.TrajectoryConfig)}
+    defaults = dynamics.TrajectoryConfig
     (traj_cfg,) = configs
-    assert (traj_cfg.tol, traj_cfg.stride) == (defaults["tol"], defaults["stride"])
-    assert json.loads(capsys.readouterr().out)["samples"] == defaults["stride"]
+    assert (traj_cfg.tol, traj_cfg.stride) == (defaults.tol, defaults.stride)
+    assert json.loads(capsys.readouterr().out)["samples"] == defaults.stride
 
 
 def test_simulate_singular_initial_refused(capsys):

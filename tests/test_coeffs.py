@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamext import ParamPoly, Q, Var, VarSystem, ZeroCoefficientDivision
+from hamext._record import replace
 from hamext.coeffs import SingularEvaluation
 
 from conftest import coeff_strategy
@@ -171,6 +172,16 @@ def test_rate_and_tag_generators():
     assert (C2 * C2 + S2 * S2 * 2 - 1).is_zero
     val = S2.evaluate({"v": 0.7}, {})
     assert val == pytest.approx(math.sin(math.sqrt(2) * 0.7) / math.sqrt(2))
+
+
+def test_tagged_variable_refuses_rate_zero():
+    # sin(0*q) is identically 0, so the ring must never hold it as a generator
+    for make in (lambda: Var.circular("q", rate=0), lambda: Var.hyperbolic("q", rate=0),
+                 lambda: Var.tagged("q", tag=Q(2), rate=0),
+                 lambda: replace(Var.circular("q"), rate=Q(0))):
+        with pytest.raises(ValueError, match="'q'"):
+            make()
+    assert Var.tagged("q", tag=0, rate=0) == Var.linear("q")
 
 
 @given(st.data())

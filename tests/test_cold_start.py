@@ -6,12 +6,12 @@ flat zero test or the integrator; an inline model adds the parser.
 ``verify`` needs mpmath (its 50-digit checks) but neither numpy nor scipy:
 its rank check is a pure-Python Jacobi SVD.  ``simulate`` needs none of
 the three: the integrator is ``hamext._dop853``, and its rows stay Python
-floats up to the files.  Every case runs in a fresh interpreter, because
-this test process imported all three long ago.  A blocked module is set
-to ``None`` in ``sys.modules``, so importing it raises ImportError.  An
-import that nothing reads is refused everywhere, and the third-party
-modules the package imports are exactly its declared runtime
-dependencies.
+floats up to the files.  No command loads ``dataclasses``.  Every case
+runs in a fresh interpreter, because this test process imported all three
+long ago.  A blocked module is set to ``None`` in ``sys.modules``, so
+importing it raises ImportError.  An import that nothing reads is refused
+everywhere, and the third-party modules the package imports are exactly
+its declared runtime dependencies.
 """
 
 import ast
@@ -69,6 +69,17 @@ def test_cli_import_loads_no_mpmath():
     out = _python("-c", "import sys, hamext.cli\n"
                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))")
     assert out.decode().strip() == "[]"
+
+
+def test_no_command_loads_dataclasses():
+    """The package's records are ``hamext._record``: ``dataclasses`` would
+    load ``inspect``, ``ast`` and ``dis``, a fifth of ``import hamext.cli``."""
+    out = _python("-c", "import sys, hamext.cli\n"
+                        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert out.decode().strip() == "[]"
+    out = _python("-c", "import sys, hamext.verify, hamext.dynamics\n"
+                        "print('dataclasses' in sys.modules)")
+    assert out.decode().strip() == "False"
 
 
 #: The package modules that a catalog build does not load.

@@ -244,7 +244,7 @@ def test_build_modified_K_dispatch():
     mk1 = build_modified_K(prof1, seed)
     assert mk1.branch == "odd-doubled"
     assert (mk1.effective_m, mk1.effective_n) == (2, 2)
-    from dataclasses import replace
+    from hamext._record import replace
     doubled = replace(prof1, m=2, n=2)
     from hamext.phase import apply_W
     want = apply_W(doubled, L, recursion_Gn(seed, 2))

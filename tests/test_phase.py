@@ -262,6 +262,14 @@ def test_phase_point_validation(space):
     assert pt.value("p_u") == 4.0
 
 
+def test_phase_space_refuses_repeated_coordinate_names():
+    # the position p_q would share its name with the momentum of q
+    with pytest.raises(ValueError, match="p_q"):
+        PhaseSpace(VarSystem([Var("q"), Var("p_q")]))
+    assert PhaseSpace(VarSystem([Var("p"), Var("q")])).coordinate_names == \
+        ("p", "q", "p_p", "p_q")
+
+
 def test_momentum_degree_and_render(space):
     pq, pu = space.p("q"), space.p("u")
     F = pq * pq * pu + pu
