@@ -31,8 +31,9 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
-from .params import (PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _product, accumulate,
-                     as_parampoly, as_q, from_numerators, join_signed, power)
+from .params import (PUNIT, ParamPoly, Q, QONE, QZERO, _add_into, _pmono_text, _product,
+                     accumulate, as_parampoly, as_q, from_numerators, join_signed, power,
+                     term_text)
 
 Mono = Tuple[int, ...]
 
@@ -252,6 +253,14 @@ def _mono_key(m: Mono):
     return (sum(m), m)
 
 
+@lru_cache(maxsize=4096)
+def _mono_text(sys: VarSystem, m: Mono) -> Tuple[tuple, str]:
+    """The sort key and the text of a generator monomial, for rendering."""
+    names = [g for v in sys.vars for g in v.gen_names()]
+    return _mono_key(m), "*".join(names[s] if e == 1 else f"{names[s]}^{e}"
+                                  for s, e in enumerate(m) if e)
+
+
 def _mono_add(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
 
@@ -450,30 +459,19 @@ class Poly:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        names: List[str] = []
-        for v in self.sys.vars:
-            gn = v.gen_names()
-            names.extend(gn if len(gn) == 1 else (gn[0], gn[1]))
         parts = []
-        for m, pp in self.sorted_items():
-            gens = []
-            for slot, e in enumerate(m):
-                if e == 1:
-                    gens.append(names[slot])
-                elif e > 1:
-                    gens.append(f"{names[slot]}^{e}")
-            gstr = "*".join(gens)
-            ps = str(pp)
-            if not gstr:
-                parts.append(f"({ps})" if (" " in ps and not ps.startswith("(")) else ps)
-            elif pp.is_one:
-                parts.append(gstr)
-            elif pp == ParamPoly.scalar(-1):
-                parts.append(f"-{gstr}")
-            elif len(pp.nums) == 1:
-                parts.append(f"{ps}*{gstr}")
+        # terms by descending _mono_key; the ParamPoly of each from its ints
+        for (_, gstr), pp in sorted(((_mono_text(self.sys, m), pp)
+                                     for m, pp in self.terms.items()), reverse=True):
+            nums = pp.nums
+            if len(nums) > 1:
+                parts.append(f"({pp})*{gstr}" if gstr else f"({pp})")
+            elif PUNIT in nums:
+                parts.append(term_text(nums[PUNIT], pp.den, gstr))
             else:
-                parts.append(f"({ps})*{gstr}")
+                (pm, c), = nums.items()
+                ps = term_text(c, pp.den, _pmono_text(pm)[1])
+                parts.append(f"{ps}*{gstr}" if gstr else ps)
         return join_signed(parts)
 
 
@@ -926,20 +924,17 @@ class CanonicalCoeff:
         if self.is_zero:
             return "0"
         num = self.num.render()
-        if not any(self.den_mono) and not self.den_factors:
+        dparts = [_mono_text(self.sys, self.den_mono)[1]] if any(self.den_mono) else []
+        dparts += [f"({f.render()})" + (f"^{k}" if k > 1 else "") for f, k in self.den_factors]
+        if not dparts:
             return num
-        dparts = []
-        mono = Poly.from_mono(self.sys, self.den_mono)
-        if any(self.den_mono):
-            dparts.append(mono.render())
-        for f, k in self.den_factors:
-            fs = f"({f.render()})"
-            dparts.append(fs if k == 1 else f"{fs}^{k}")
-        den = "*".join(dparts)
         if len(self.num.terms) > 1:
             num = f"({num})"
-        if "*" in den or " " in den:
-            den = f"({den})" if not (den.startswith("(") and den.endswith(")")) else den
+        den = "*".join(dparts)
+        # a product of parts is wrapped; one part keeps parentheses it has
+        if len(dparts) > 1 or (("*" in den or " " in den)
+                               and not (den.startswith("(") and den.endswith(")"))):
+            den = f"({den})"
         return f"{num}/{den}"
 
     __str__ = render

@@ -70,8 +70,8 @@ def power(x, n: int, one, mul: Callable = operator.mul):
 
 def join_signed(parts: List[str]) -> str:
     """Join rendered terms with " + ", writing a leading "-" as " - "."""
-    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-                              for p in parts[1:])
+    return parts[0] + "".join([f" - {p[1:]}" if p[0] == "-" else f" + {p}"
+                               for p in parts[1:]])
 
 
 def accumulate(acc: dict, key, value, sign: int = 1):
@@ -98,11 +98,21 @@ def _pmono_key(m: PMono):
     return (deg, tuple(full))
 
 
-def _pmono_str(m: PMono) -> str:
-    parts = []
-    for i, e in m:
-        parts.append(PARAMS[i] if e == 1 else f"{PARAMS[i]}^{e}")
-    return "*".join(parts)
+@lru_cache(maxsize=4096)
+def _pmono_text(m: PMono) -> Tuple[tuple, str]:
+    """The sort key and the text of a parameter monomial, for rendering."""
+    return _pmono_key(m), "*".join(PARAMS[i] if e == 1 else f"{PARAMS[i]}^{e}" for i, e in m)
+
+
+def term_text(c: int, den: int, ms: str) -> str:
+    """The text of ``c/den`` times the monomial whose text is ``ms``."""
+    if den != 1:
+        g = gcd(c, den)
+        c, den = c // g, den // g
+    cs = str(c) if den == 1 else f"{c}/{den}"
+    if not ms:
+        return cs
+    return ms if cs == "1" else f"-{ms}" if cs == "-1" else f"{cs}*{ms}"
 
 
 class ParamPoly:
@@ -359,18 +369,9 @@ class ParamPoly:
     def __str__(self):
         if not self.nums:
             return "0"
-        parts = []
-        for m, c in self.sorted_items():
-            ms = _pmono_str(m)
-            if not ms:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(ms)
-            elif c == -1:
-                parts.append(f"-{ms}")
-            else:
-                parts.append(f"{c}*{ms}")
-        return join_signed(parts)
+        # terms by descending _pmono_key
+        items = sorted(((_pmono_text(m), c) for m, c in self.nums.items()), reverse=True)
+        return join_signed([term_text(c, self.den, ms) for (_, ms), c in items])
 
     __repr__ = __str__
 

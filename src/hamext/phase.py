@@ -332,8 +332,11 @@ class PPoly:
             elif cs == "-1":
                 parts.append(f"-{mom}")
             else:
-                wrap = cs if (cs.startswith("(") or (" " not in cs)) else f"({cs})"
-                parts.append(f"{wrap}*{mom}")
+                # a sum is wrapped, also one whose first term opens with "("
+                if (" " in cs and not cs.startswith("(")) or (
+                        len(c.num.terms) > 1 and not c.den_factors and not any(c.den_mono)):
+                    cs = f"({cs})"
+                parts.append(f"{cs}*{mom}")
         return join_signed(parts)
 
     __str__ = render
