@@ -9,12 +9,14 @@ Commands
     solve-linear classify a linear seed family and certify its residuals
 
 OPTIONS declares each command's options once, with types and defaults:
-each is a flag and, for build, verify and simulate, a --config key.  Every
-other option is refused by name, as are the inline model's options and a
-schema-less --A on a catalog model.  Each command loads only what it
-uses: build the exact ring alone, the inline model the parser too;
-simulate adds the numeric compiler and the integrator, verify the
-compiler, the flat zero test and mpmath for its 50-digit checks.  No
+each is a flag.  Every other option is refused by name, as are the inline
+model's options and a schema-less --A on a catalog model.  An argument
+@FILE is replaced by the flags written in FILE (shell words, any number a
+line, "#" starts a comment), in place: a later flag overrides the file's,
+and a parameter given twice, in a file or not, is refused.  Each command
+loads only what it uses: build the exact ring alone, the inline model the
+parser too; simulate adds the numeric compiler and the integrator, verify
+the compiler, the flat zero test and mpmath for its 50-digit checks.  No
 command loads numpy or scipy.  A parameter value whose float powers
 overflow as the functions compile is a configuration error.
 
@@ -32,7 +34,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .coeffs import Var, ZeroCoefficientDivision
 from .extension import SeedConditionError, make_extension_space, solve_linear_seed
@@ -62,15 +64,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def convert_arg_line_to_args(self, line):
+        import shlex  # loaded only when an options file is read
+
+        try:
+            args = shlex.split(line, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            raise ConfigError(f"options file line {line!r}: {exc}") from None
+        nested = [a for a in args if a.startswith("@")]
+        if nested:
+            raise ConfigError(f"an options file cannot read another: {nested[0]!r}")
+        return args
+
 
 # Each command's options: name -> (type, default[, argparse keywords]).  The
-# flag is --name with "_" spelled "-".  A --config value is null only where
-# the default is None ("not given").  ``param`` collects NAME=VALUE entries,
-# which a --config file may also give as a mapping.  Each default lives in
-# one place: verify's --samples, --precision and --seed name the field of
-# VerifySettings that make_config reads it from, and simulate's --tol and
-# --stride are None here so that TrajectoryConfig fills them in (cli
-# imports verify for the verify command only, and dynamics for simulate).
+# flag is --name with "_" spelled "-".  ``param`` collects NAME=VALUE
+# entries, at most one a name.  Each default lives in one place: verify's
+# --samples, --precision and --seed name the field of VerifySettings that
+# make_config reads it from, and simulate's --tol and --stride are None
+# here so that TrajectoryConfig fills them in (cli imports verify for the
+# verify command only, and dynamics for simulate).
 _MODEL = {
     "model": (str, "ttw", {"help": "catalog name (ttw, cage, harmonic) or 'inline'"}),
     "m": (int, 1),
@@ -105,19 +118,6 @@ OPTIONS: Dict[str, Dict[str, tuple]] = {
 INLINE_ONLY = ("V", "eta", "L0", "c", "kappa")
 
 
-def _json_type_ok(type_, default, value) -> bool:
-    """Whether a --config value has its flag's type, or is null where the default is."""
-    if value is None:
-        return default is None
-    if type_ is list:
-        # --param: NAME=VALUE strings, or a mapping of names to strings
-        if isinstance(value, dict):
-            value = [*value, *value.values()]
-        return isinstance(value, list) and all(type(v) is str for v in value)
-    # a JSON integer is a valid float, but a boolean is not an integer
-    return type(value) in ((int, float) if type_ is float else (type_,))
-
-
 def _rat(text: str, what: str = "") -> Q:
     try:
         return Q(text)
@@ -132,10 +132,8 @@ def _sym_or_rat(text: Optional[str], default_param: str) -> ParamPoly:
     return ParamPoly.scalar(_rat(text))
 
 
-def _parse_params(items) -> Dict[str, float]:
-    """--param entries (or a --config mapping) as evaluation values, each a finite float."""
-    if isinstance(items, dict):
-        items = [f"{k}={v}" for k, v in items.items()]
+def _parse_params(items: Sequence[str]) -> Dict[str, float]:
+    """--param entries as evaluation values, each a finite float, one a name."""
     out: Dict[str, float] = {}
     for item in items:
         if "=" not in item:
@@ -143,6 +141,8 @@ def _parse_params(items) -> Dict[str, float]:
         name, _, value = item.partition("=")
         if name not in PARAMS:
             raise ConfigError(f"unknown parameter {name!r}; alphabet is {PARAMS}")
+        if name in out:
+            raise ConfigError(f"--param gives the parameter {name!r} twice")
         try:
             out[name] = float(_rat(value, f"--param {name}: "))
         except OverflowError:
@@ -152,17 +152,16 @@ def _parse_params(items) -> Dict[str, float]:
 
 def build_arg_parser() -> _Parser:
     ap = _Parser(prog="hamext", description=__doc__, allow_abbrev=False,
-                 formatter_class=argparse.RawDescriptionHelpFormatter)
+                 formatter_class=argparse.RawDescriptionHelpFormatter,
+                 fromfile_prefix_chars="@")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
         p = sub.add_parser(command, allow_abbrev=False)
-        # every flag defaults to None, "not given", so that a --config value
-        # is not shadowed; make_config fills in the defaults of OPTIONS
+        # every flag defaults to None, "not given": make_config refuses some
+        # flags only when given, and fills in the defaults of OPTIONS
         for name, (type_, _, *kw) in options.items():
             how = {"action": "append"} if type_ is list else {"type": type_}
             p.add_argument("--" + name.replace("_", "-"), **how, **(kw[0] if kw else {}))
-        if "model" in options:
-            p.add_argument("--config", help="JSON file with the same keys as the flags")
     return ap
 
 
@@ -170,45 +169,12 @@ def _flags(names: Sequence[str]) -> str:
     return ", ".join("--" + k.replace("_", "-") for k in names)
 
 
-def _read_config(path: str, command: str) -> dict:
-    """The options of a --config file, each read by ``command`` and of its flag's type."""
-    try:
-        with open(path) as fh:
-            loaded = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}")
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"config {path!r} holds a JSON {type(loaded).__name__}, "
-                          "not an object of option values")
-    unknown = [k for k in loaded if not any(k in o for o in OPTIONS.values())]
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    readers: Dict[tuple, List[str]] = {}
-    for k in loaded:
-        if k not in OPTIONS[command]:
-            readers.setdefault(tuple(c for c in OPTIONS if k in OPTIONS[c]), []).append(k)
-    if readers:
-        raise ConfigError("; ".join(
-            f"{_flags(names)}: only {' and '.join(cmds)} read{'s' * (len(cmds) == 1)} these"
-            for cmds, names in readers.items()))
-    for k, v in loaded.items():
-        type_, default, *kw = OPTIONS[command][k]
-        if not _json_type_ok(type_, default, v):
-            raise ConfigError(f"config field {k!r} has the wrong type: {v!r}")
-        choices = kw[0].get("choices") if kw else None
-        if choices and v is not None and v not in choices:
-            raise ConfigError(f"config field {k!r}: {v!r} is not one of {list(choices)}")
-    return loaded
-
-
 def make_config(argv: Sequence[str]) -> argparse.Namespace:
-    """The command and exactly its OPTIONS: a flag's value, else the
-    --config file's, else the default."""
+    """The command and exactly its OPTIONS: a flag's value (read from an
+    options file or not), else the default."""
     ns = build_arg_parser().parse_args(argv)
     command, options = ns.command, OPTIONS[ns.command]
     data = {k: v for k, v in vars(ns).items() if v is not None and k in options}
-    if getattr(ns, "config", None):
-        data = {**_read_config(ns.config, command), **data}
     model = data.get("model", _MODEL["model"][1])
     if "model" in options and model in CATALOG:
         given = [k for k in INLINE_ONLY if k in data]

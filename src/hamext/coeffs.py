@@ -219,7 +219,7 @@ class VarSystem:
 # monomial helpers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, int, int], ...]:
     """Rewrite C-powers >= 2 via C^2 = 1 - tag*S^2; returns basis terms.
 
@@ -904,10 +904,6 @@ class CanonicalCoeff:
             if k:
                 remaining.append((f, k))
         return self._normalize(self.sys, num, self.den_mono, tuple(remaining))
-
-    def sort_key(self):
-        return (self.num.sort_key(), self.den_mono,
-                tuple((f.sort_key(), k) for f, k in self.den_factors))
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalCoeff):

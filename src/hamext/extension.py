@@ -255,9 +255,6 @@ class ModifiedK:
     effective_n: int
     branch: str  # "even" or "odd-doubled"
 
-    def render(self) -> str:
-        return self.poly.render()
-
 
 def _even_dispatch(profile: ExtensionProfile) -> Tuple[ExtensionProfile, int, str]:
     if profile.m % 2 == 0:

@@ -39,7 +39,7 @@ def as_q(x) -> Q:
     return Q(x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _pmono_mul(a: PMono, b: PMono) -> PMono:
     if not a:
         return b

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,12 @@ from hamext.verify import MIN_PRECISION, MIN_SAMPLES
 
 def run(argv):
     return main(argv)
+
+
+def options_file(path, text):
+    """Write an options file and return the argument that reads it."""
+    path.write_text(text)
+    return "@" + str(path)
 
 
 def test_catalog_lists_models(capsys):
@@ -36,7 +43,7 @@ def test_build_ttw(capsys):
 def test_every_catalog_model_builds(tmp_path, capsys):
     """``--model NAME`` reaches each catalog builder; ``--A`` reaches the
     entries whose parameter schema lists A, and the others refuse it by name,
-    as a flag or from a --config file, instead of dropping it."""
+    as a flag or from an options file, instead of dropping it."""
     out = {}
     for name in CATALOG:
         args = ["build", "--model", name, "--m", "2", "--n", "1"]
@@ -49,16 +56,15 @@ def test_every_catalog_model_builds(tmp_path, capsys):
     assert "A" not in CATALOG["ttw"]["params"]
     assert run(["build", "--model", "ttw", "--A", "2"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --A: the catalog model 'ttw'")
-    cfgfile = tmp_path / "job.json"
-    cfgfile.write_text(json.dumps({"model": "ttw", "A": "2"}))
+    job = options_file(tmp_path / "job.args", "--model ttw --A 2\n")
     for command in ("build", "verify", "simulate"):
-        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert run([command, job]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: --A: ")
 
 
 def test_catalog_models_refuse_inline_flags(tmp_path, capsys):
     """--V, --eta, --L0, --c and --kappa are read only by --model inline, so
-    a catalog model refuses them, by flag or from a --config file."""
+    a catalog model refuses them, by flag or from an options file."""
     flags = {"V": "q^2", "eta": "q", "L0": "2", "c": "1", "kappa": "1"}
     for command in ("build", "verify", "simulate"):
         for name in CATALOG:
@@ -66,9 +72,8 @@ def test_catalog_models_refuse_inline_flags(tmp_path, capsys):
                 args = [command, "--model", name, "--m", "2", "--n", "1"]
                 assert run(args + [f"--{key}", value]) == EXIT_CONFIG
                 assert f"--{key}:" in capsys.readouterr().err
-    cfgfile = tmp_path / "job.json"
-    cfgfile.write_text(json.dumps({"model": "cage", "kappa": 0}))
-    assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert run(["build", options_file(tmp_path / "job.args", "--model cage --kappa 0")]) \
+        == EXIT_CONFIG
     assert "--kappa:" in capsys.readouterr().err
     # the default model is a catalog model too
     assert run(["build", "--L0", "2", "--V", "q^2"]) == EXIT_CONFIG
@@ -77,33 +82,27 @@ def test_catalog_models_refuse_inline_flags(tmp_path, capsys):
 
 def test_verify_only_flags_refused_by_build_and_simulate(tmp_path, capsys):
     """--samples, --precision, --seed and --inject-defect are read only by
-    verify, so build and simulate refuse them, by flag or from a --config
+    verify, so build and simulate refuse them, by flag or from an options
     file, instead of dropping them."""
     flags = {"samples": "40", "precision": "30", "seed": "7",
              "inject-defect": "omega-shift"}
-    values = {"samples": 40, "precision": 30, "seed": 7, "inject_defect": "omega-shift"}
-    cfgfile = tmp_path / "job.json"
+    cfgfile = tmp_path / "job.args"
     for args in (["build", "--model", "harmonic"],
                  ["simulate", "--model", "harmonic", "--param", "L0=1/2"]):
         for flag, value in flags.items():
             assert run(args + [f"--{flag}", value]) == EXIT_CONFIG
             assert f"--{flag}" in capsys.readouterr().err
-        for key, value in values.items():
-            cfgfile.write_text(json.dumps({key: value}))
-            assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
-            flag = key.replace("_", "-")
-            assert f"--{flag}: only verify reads these" in capsys.readouterr().err
-        cfgfile.write_text(json.dumps(values))
-        assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
-        assert ("--samples, --precision, --seed, --inject-defect: only verify"
-                in capsys.readouterr().err)
+            assert run(args + [options_file(cfgfile, f"--{flag} {value}")]) == EXIT_CONFIG
+            assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+        every = " ".join(f"--{flag} {value}" for flag, value in flags.items())
+        assert run(args + [options_file(cfgfile, every)]) == EXIT_CONFIG
+        assert f"unrecognized arguments: {every}" in capsys.readouterr().err
     # build evaluates nothing, so it refuses --param too
     assert run(["build", "--model", "harmonic", "--param", "L0=1/2"]) == EXIT_CONFIG
     assert "--param" in capsys.readouterr().err
     # verify itself still takes all four, as flags and from a file
     assert make_config(["verify", "--seed", "7", "--inject-defect", "omega-shift"]).seed == 7
-    cfgfile.write_text(json.dumps(values))
-    assert make_config(["verify", "--config", str(cfgfile)]).precision == 30
+    assert make_config(["verify", "@" + str(cfgfile)]).precision == 30
 
 
 def test_build_inline_ok(capsys):
@@ -131,53 +130,41 @@ def test_config_errors():
 
 
 def test_config_values_need_the_flag_type(tmp_path, capsys):
-    """A --config value has the type its flag parses to, or is null where
-    the default is None; anything else is refused by name, not a crash.
-    verify's --samples, --precision and --seed default to VerifySettings's
-    values, none of them None, so null is refused for each."""
-    cfgfile = tmp_path / "job.json"
-    # verify reads every one of these fields
-    for doc in ({"m": "3"}, {"samples": "40"}, {"precision": True}, {"samples": None},
-                {"precision": None}, {"seed": None},
-                {"tol": "1e-3"}, {"L0": None}, {"param": {"omega": 0.5}},
-                {"param": "omega=1/2"}):
-        cfgfile.write_text(json.dumps(doc))
-        assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
-        (field,) = doc
-        assert f"config field {field!r}" in capsys.readouterr().err
-    for doc in ({"m": 2}, {"omega": None}):
-        cfgfile.write_text(json.dumps(doc))
-        assert run(["build", "--config", str(cfgfile)]) == EXIT_OK
-    # an integer is a valid float; either form of --param is read by the
-    # commands that evaluate, and build refuses both fields by name
-    cfgfile.write_text(json.dumps({"t_final": 5}))
-    assert make_config(["simulate", "--config", str(cfgfile)]).t_final == 5
-    assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
-    assert "--t-final: only simulate reads these" in capsys.readouterr().err
-    for param in (["omega=1/2"], {"omega": "1/2"}):
-        cfgfile.write_text(json.dumps({"param": param}))
-        for command in ("verify", "simulate"):
-            assert make_config([command, "--config", str(cfgfile)]).param == {"omega": 0.5}
-        assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
-        assert "--param: only verify and simulate read these" in capsys.readouterr().err
-    # a mapping goes through the same name check as the flag
-    cfgfile.write_text(json.dumps({"param": {"zeta": "1"}}))
-    assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
+    """An options-file value of the wrong type is refused with the flag's
+    own message, not a crash; a file of flags only other commands read, or
+    a parameter outside the alphabet, is refused by name as well."""
+    cfgfile = tmp_path / "job.args"
+    # verify reads every one of these flags
+    for flags in (["--m", "3.5"], ["--samples", "forty"], ["--precision", "30.0"],
+                  ["--seed", ""], ["--tol", "1e-3x"], ["--param"], ["--m"]):
+        assert run(["verify", *flags]) == EXIT_CONFIG
+        message = capsys.readouterr().err
+        assert message.startswith(f"config error: argument {flags[0]}")
+        assert run(["verify", options_file(cfgfile, shlex.join(flags))]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+    assert run(["build", options_file(cfgfile, "--m 2 --omega sym")]) == EXIT_OK
+    # an integer is a valid float; --param is read by the commands that
+    # evaluate, and build refuses it, and --t-final, by name
+    options_file(cfgfile, "--t-final 5\n")
+    assert make_config(["simulate", "@" + str(cfgfile)]).t_final == 5
+    assert run(["build", "@" + str(cfgfile)]) == EXIT_CONFIG
+    assert "unrecognized arguments: --t-final 5" in capsys.readouterr().err
+    options_file(cfgfile, "--param omega=1/2")
+    for command in ("verify", "simulate"):
+        assert make_config([command, "@" + str(cfgfile)]).param == {"omega": 0.5}
+    assert run(["build", "@" + str(cfgfile)]) == EXIT_CONFIG
+    assert "unrecognized arguments: --param omega=1/2" in capsys.readouterr().err
+    # a parameter from a file goes through the same name check as the flag
+    assert run(["verify", options_file(cfgfile, "--param zeta=1")]) == EXIT_CONFIG
     assert "unknown parameter 'zeta'" in capsys.readouterr().err
-    # a file that holds no mapping of fields is refused, not a traceback
-    for doc in (5, ["m"]):
-        cfgfile.write_text(json.dumps(doc))
-        assert run(["build", "--config", str(cfgfile)]) == EXIT_CONFIG
-        assert "not an object of option values" in capsys.readouterr().err
 
 
 def test_samples_and_precision_must_be_positive(tmp_path, capsys):
-    cfgfile = tmp_path / "job.json"
     for field in ("samples", "precision"):
         assert run(["verify", f"--{field}", "0"]) == EXIT_CONFIG
         assert f"--{field} must be a positive integer" in capsys.readouterr().err
-        cfgfile.write_text(json.dumps({field: -1}))
-        assert run(["verify", "--config", str(cfgfile)]) == EXIT_CONFIG
+        job = options_file(tmp_path / "job.args", f"--{field} -1")
+        assert run(["verify", job]) == EXIT_CONFIG
         assert f"--{field} must be a positive integer" in capsys.readouterr().err
 
 
@@ -193,18 +180,16 @@ def test_verify_samples_below_the_minimum_refused(capsys):
 def test_verify_precision_below_the_minimum_refused(tmp_path, capsys):
     """Below 22 digits the singularity guard 10^(10 - precision) is above the
     float path's 1e-12 and rejects regular samples (at 10 digits every one),
-    so --precision 21 is refused, as a flag or in --config, and at 22 a
-    correct model passes."""
+    so --precision 21 is refused, as a flag or in an options file, and at 22
+    a correct model passes."""
     assert MIN_PRECISION == 22
-    cfgfile = tmp_path / "job.json"
+    cfgfile = tmp_path / "job.args"
     args = ["verify", "--model", "ttw", "--samples", "30"]
     assert run(args + ["--precision", "21"]) == EXIT_CONFIG
     assert "--precision 21: a sampled claim needs at least 22 digits" in capsys.readouterr().err
-    cfgfile.write_text(json.dumps({"precision": 21}))
-    assert run(args + ["--config", str(cfgfile)]) == EXIT_CONFIG
+    assert run(args + [options_file(cfgfile, "--precision 21")]) == EXIT_CONFIG
     assert "--precision 21:" in capsys.readouterr().err
-    cfgfile.write_text(json.dumps({"precision": 22}))
-    assert make_config(args + ["--config", str(cfgfile)]).precision == 22
+    assert make_config(args + [options_file(cfgfile, "--precision 22")]).precision == 22
     assert run(args + ["--precision", "22"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["precision"] == 22 and doc["all_ok"] is True
@@ -229,35 +214,30 @@ def test_verify_calls_the_stage_functions_through_cli_attributes(monkeypatch, ca
 
 
 def test_tol_must_be_positive_and_finite(tmp_path, capsys):
-    cfgfile = tmp_path / "job.json"
+    job = options_file(tmp_path / "job.args", "--tol=-1e-9")
     for command in ("verify", "simulate"):
         for value in ("-1", "0", "nan", "inf"):
             assert run([command, "--model", "harmonic", "--param", "L0=1/2",
                         "--tol", value]) == EXIT_CONFIG
             assert "--tol must be positive and finite" in capsys.readouterr().err
-        cfgfile.write_text(json.dumps({"tol": -1e-9}))
-        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert run([command, job]) == EXIT_CONFIG
         assert "--tol must be positive and finite" in capsys.readouterr().err
 
 
 def test_config_values_need_the_flag_choices(tmp_path, capsys, monkeypatch):
-    """A --config value outside its flag's choices is refused by field name
-    before the model is built, as the flag is by argparse."""
+    """An options-file value outside its flag's choices is refused by flag
+    name before the model is built, as the flag is."""
     from hamext import cli
 
     def never(*args):
         raise AssertionError("the model was built before the choices were checked")
 
     monkeypatch.setattr(cli, "build_model", never)
-    cfgfile = tmp_path / "job.json"
-    for command, doc, field, flag in (
-            ("verify", {"inject_defect": "nope"}, "inject_defect", ["--inject-defect", "nope"]),
-            ("build", {"model": "inline", "kappa": 5}, "kappa", ["--kappa", "5"])):
-        cfgfile.write_text(json.dumps(doc))
-        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
-        assert f"config field {field!r}: {doc[field]!r} is not one of" in capsys.readouterr().err
-        assert run([command, "--model", "inline", *flag]) == EXIT_CONFIG
-        assert "invalid choice" in capsys.readouterr().err
+    for command, flag in (("verify", ["--inject-defect", "nope"]), ("build", ["--kappa", "5"])):
+        job = options_file(tmp_path / "job.args", f"--model inline {shlex.join(flag)}")
+        for argv in ([command, job], [command, "--model", "inline", *flag]):
+            assert run(argv) == EXIT_CONFIG
+            assert f"argument {flag[0]}: invalid choice: " in capsys.readouterr().err
 
 
 def test_flag_prefixes_refused(capsys):
@@ -271,7 +251,7 @@ def test_flag_prefixes_refused(capsys):
 def test_simulate_span_and_stride_refused_before_the_model_is_built(tmp_path, capsys,
                                                                    monkeypatch):
     """A --t-final that is not finite and positive, or a --stride below 2, is a
-    configuration error naming the flag, as a flag or in a --config file,
+    configuration error naming the flag, as a flag or in an options file,
     before the model is built."""
     from hamext import cli
 
@@ -279,7 +259,7 @@ def test_simulate_span_and_stride_refused_before_the_model_is_built(tmp_path, ca
         raise AssertionError("the model was built before --t-final and --stride were checked")
 
     monkeypatch.setattr(cli, "build_model", never)
-    cfgfile = tmp_path / "job.json"
+    cfgfile = tmp_path / "job.args"
     for name, value, message in (("t_final", -1.0, "--t-final must be positive and finite"),
                                  ("t_final", 0.0, "--t-final must be positive and finite"),
                                  ("t_final", float("nan"), "--t-final must be positive"),
@@ -289,8 +269,7 @@ def test_simulate_span_and_stride_refused_before_the_model_is_built(tmp_path, ca
         assert run(["simulate", "--model", "ttw", "--m", "5", "--n", "3",
                     flag, str(value)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
-        cfgfile.write_text(json.dumps({name: value}))
-        assert run(["simulate", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert run(["simulate", options_file(cfgfile, f"{flag}={value}")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
 
@@ -322,15 +301,84 @@ def test_inline_verify_needs_every_parameter(capsys):
 
 
 def test_config_file_roundtrip(tmp_path, capsys):
-    cfgfile = tmp_path / "job.json"
-    cfgfile.write_text(json.dumps({"model": "ttw", "m": 2, "n": 1}))
-    assert run(["build", "--config", str(cfgfile)]) == EXIT_OK
+    job = options_file(tmp_path / "job.args", "# a comment line\n--model ttw\n--m 2 --n 1\n")
+    assert run(["build", job]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["model"]["m"] == 2
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"model": "ttw", "wheels": 4}))
-    assert run(["build", "--config", str(bad)]) == EXIT_CONFIG
+    assert run(["build", options_file(tmp_path / "bad.args", "--model ttw --wheels 4")]) \
+        == EXIT_CONFIG
+    assert "unrecognized arguments: --wheels 4" in capsys.readouterr().err
+
+
+#: Flags for each command that reads a model, as an options file holds them.
+FILE_FLAGS = {
+    "build": ["--model", "inline", "--c", "1", "--kappa", "-1", "--omega", "sym",
+              "--V", "(c1 + c2*cosh(q))/sinh(q)^2", "--eta", "sinh(q)", "--m", "4"],
+    "verify": ["--model", "cage", "--m", "3", "--n", "2", "--A", "2", "--param", "b=1/3",
+               "--param", "omega=-1/2", "--samples", "40", "--precision", "30", "--seed", "7",
+               "--tol", "1e-9", "--inject-defect", "omega-shift"],
+    "simulate": ["--model", "ttw", "--omega", "3/4", "--param", "alpha1=2", "--t-final", "2.5",
+                 "--stride", "9", "--x0", "q=0.6, u=0.8, p_q=0.4, p_u=-0.3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_FLAGS))
+def test_options_file_is_its_flags(command, tmp_path):
+    """An options file reaches make_config as the flags written in it: one
+    or more a line, shell-quoted, with comments."""
+    flags = FILE_FLAGS[command]
+    lines = [shlex.join(flags[i:i + 2]) + "  # a comment" for i in range(0, len(flags), 2)]
+    job = options_file(tmp_path / "job.args", "\n".join(["# the job", *lines, ""]))
+    assert make_config([command, job]) == make_config([command, *flags])
+    one_line = options_file(tmp_path / "line.args", shlex.join(flags))
+    assert make_config([command, one_line]) == make_config([command, *flags])
+
+
+def test_options_file_is_read_in_place(tmp_path, capsys):
+    """A flag after the file overrides the file's value, and one before it
+    is overridden; --param entries of the file and the command line add up.
+    The JSON reader this replaces dropped every parameter of its file once
+    one --param flag was given."""
+    job = options_file(tmp_path / "run.args", "--model ttw --m 3\n--param omega=1/2\n")
+    assert make_config(["verify", job, "--m", "5"]).m == 5
+    assert make_config(["verify", "--m", "5", job]).m == 3
+    cfg = make_config(["verify", job, "--param", "alpha1=3"])
+    assert cfg.param == {"omega": 0.5, "alpha1": 3.0}
+    # a catalog model still refuses the inline options from a file
+    assert run(["verify", options_file(tmp_path / "v.args", "--V 'q^2'")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --V: only --model inline")
+
+
+def test_unreadable_options_file_is_a_config_error(tmp_path, capsys):
+    """A missing file, a file that names another options file, and an
+    unclosed quote are each one line and exit code 1, never a traceback."""
+    missing = tmp_path / "missing.args"
+    assert run(["build", "@" + str(missing)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: [Errno 2] No such file or directory: "
+                                       f"{str(missing)!r}\n")
+    loop = tmp_path / "loop.args"
+    assert run(["build", options_file(loop, f"--m 2 @{loop}")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: an options file cannot read another: "
+                                       f"{'@' + str(loop)!r}\n")
+    assert run(["build", options_file(tmp_path / "q.args", "--V 'q^2")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: options file line \"--V 'q^2\": "
+                                       "No closing quotation\n")
+
+
+def test_repeated_param_refused(tmp_path, capsys):
+    """A parameter given twice is refused by name, as a repeated --x0
+    coordinate is, whichever value comes last, even if both agree, and
+    when one comes from an options file; it used to keep the last value."""
+    args = ["verify", "--model", "ttw", "--m", "1", "--n", "1", "--samples", "30"]
+    job = options_file(tmp_path / "job.args", "--param omega=1")
+    for extra in (["--param", "omega=1", "--param", "omega=2"],
+                  ["--param", "omega=1/2", "--param", "alpha1=3", "--param", "omega=0.5"],
+                  [job, "--param", "omega=2"]):
+        assert run(args + extra) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --param gives the parameter 'omega' twice\n"
 
 
 def test_verify_ok_and_defect(tmp_path, capsys):
@@ -525,7 +573,7 @@ def test_unusable_out_refused_before_the_work(tmp_path, capsys, monkeypatch):
 
 def test_param_value_refused_before_the_model_is_built(tmp_path, capsys, monkeypatch):
     """A --param value that is not a rational number is a configuration error
-    naming the parameter, as a flag or in a --config file, and no model is
+    naming the parameter, as a flag or in an options file, and no model is
     built; ``omega=1/0`` used to end in a ZeroDivisionError traceback."""
     from hamext import cli
 
@@ -538,15 +586,14 @@ def test_param_value_refused_before_the_model_is_built(tmp_path, capsys, monkeyp
         err = capsys.readouterr().err
         assert err.startswith(f"config error: --param omega: expected a rational number, "
                               f"got {value!r}")
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"param": {"alpha1": "3/0"}}))
-    assert run(["simulate", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert run(["simulate", options_file(tmp_path / "job.args", "--param alpha1=3/0")]) \
+        == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --param alpha1: ")
 
 
 def test_param_value_too_large_for_a_float_refused(tmp_path, capsys, monkeypatch):
     """A --param value with no finite float (``omega=1e400``) is a configuration
-    error naming the parameter, as a flag or in a --config file, before the
+    error naming the parameter, as a flag or in an options file, before the
     model is built; it used to end in an OverflowError traceback."""
     from hamext import cli
 
@@ -559,9 +606,8 @@ def test_param_value_too_large_for_a_float_refused(tmp_path, capsys, monkeypatch
             assert run([command, "--model", "ttw", "--param", f"omega={value}"]) == EXIT_CONFIG
             assert capsys.readouterr().err == (f"config error: --param omega: {value!r} "
                                                "is too large for a float\n")
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"param": {"alpha1": "3e400"}}))
-        assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        job = options_file(tmp_path / "job.args", "--param alpha1=3e400")
+        assert run([command, job]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: --param alpha1: ")
     # a value that only rounds to a float is still taken
     assert make_config(["verify", "--param", "omega=1e300"]).param == {"omega": 1e300}
@@ -603,7 +649,7 @@ def test_param_power_overflow_is_a_config_error(command, capsys, monkeypatch):
 #: The long flags each command accepts, written out by hand: the table in
 #: hamext.cli must agree with this list, not the other way round.
 MODEL_FLAGS = {"--model", "--m", "--n", "--omega", "--kappa", "--c", "--L0", "--A",
-               "--V", "--eta", "--out", "--config"}
+               "--V", "--eta", "--out"}
 ACCEPTED = {
     "build": MODEL_FLAGS,
     "verify": MODEL_FLAGS | {"--param", "--tol", "--samples", "--precision", "--seed",
@@ -626,16 +672,13 @@ def test_help_lists_exactly_the_accepted_flags(command):
 
 @pytest.mark.parametrize("command", sorted(ACCEPTED))
 def test_every_other_flag_refused(command, tmp_path, capsys):
-    """A flag that only other commands read is refused by name, never dropped;
-    so is its --config field, for the commands that read a --config file."""
-    cfgfile = tmp_path / "job.json"
+    """A flag that only other commands read is refused by name, never dropped,
+    on the command line and in an options file."""
+    cfgfile = tmp_path / "job.args"
     for flag in sorted(set().union(*ACCEPTED.values()) - ACCEPTED[command]):
-        assert run([command, flag, "1"]) == EXIT_CONFIG
-        assert flag in capsys.readouterr().err
-        if "--config" in ACCEPTED[command]:
-            cfgfile.write_text(json.dumps({flag[2:].replace("-", "_"): "1"}))
-            assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
-            assert f"{flag}: only " in capsys.readouterr().err
+        for argv in ([command, flag, "1"], [command, options_file(cfgfile, f"{flag} 1")]):
+            assert run(argv) == EXIT_CONFIG
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
