@@ -7,15 +7,19 @@ the production zero test) and with the ring's ``PPoly.poisson``.  One TSV
 row per rung gives the times, the sizes of K_bar, the largest numerator
 and denominator bit lengths of its rational coefficients, and the peak
 RSS (``ru_maxrss``) read after the build, after the flat test and after
-the ring bracket.  A closing comment per model fits the exponent of each
-time against the K_bar degree.  The exit status is 1 if the two verdicts
-differ on any rung (or a rung fails), else 0.
+the ring bracket.  ``gc_s`` is the part of ``build_s`` that CPython's
+cyclic collector took (read with ``gc.callbacks``): the library builds
+with the collector on, while ``hamext`` commands run with it paused.  A
+closing comment per model fits the exponent of each time against the
+K_bar degree.  The exit status is 1 if the two verdicts differ on any
+rung (or a rung fails), else 0.
 
 Usage:
     python scripts/degree_ladder.py [--rungs N]
 """
 
 import argparse
+import gc
 import json
 import math
 import resource
@@ -32,7 +36,7 @@ LADDER = {
 }
 
 COLUMNS = ["model", "m", "n", "K_degree", "K_terms", "gen_terms", "param_terms",
-           "num_bits", "den_bits", "build_s", "bracket_s", "ring_bracket_s",
+           "num_bits", "den_bits", "build_s", "gc_s", "bracket_s", "ring_bracket_s",
            "rss_build_mb", "rss_flat_mb", "rss_ring_mb", "flat", "ring"]
 TIMES = ["build_s", "bracket_s", "ring_bracket_s"]
 
@@ -41,13 +45,32 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def collector_seconds(run):
+    """run() and the seconds the cyclic collector took during it."""
+    spent, started = 0.0, 0.0
+
+    def clock(phase, info):
+        nonlocal spent, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            spent += time.perf_counter() - started
+
+    gc.callbacks.append(clock)
+    try:
+        result = run()
+    finally:
+        gc.callbacks.remove(clock)
+    return result, spent
+
+
 def measure(model: str, m: int, n: int) -> dict:
     """One rung, in this process."""
     from hamext.flat import bracket_is_zero
     from hamext.models import CATALOG
 
     t0 = time.perf_counter()
-    spec = CATALOG[model]["builder"](m, n)
+    spec, gc_s = collector_seconds(lambda: CATALOG[model]["builder"](m, n))
     t1 = time.perf_counter()
     rss_build = _rss_mb()
     H, K = spec.Hbar, spec.Kbar.poly
@@ -64,7 +87,7 @@ def measure(model: str, m: int, n: int) -> dict:
         "param_terms": sum(len(pp.nums) for pp in pps),
         "num_bits": max(abs(v).bit_length() for pp in pps for v in pp.nums.values()),
         "den_bits": max(pp.den.bit_length() for pp in pps),
-        "build_s": t1 - t0, "bracket_s": t2 - t1, "ring_bracket_s": t3 - t2,
+        "build_s": t1 - t0, "gc_s": gc_s, "bracket_s": t2 - t1, "ring_bracket_s": t3 - t2,
         "rss_build_mb": rss_build, "rss_flat_mb": rss_flat, "rss_ring_mb": _rss_mb(),
         "flat": flat, "ring": ring,
     }
