@@ -117,7 +117,7 @@ class Var:
 class VarSystem:
     """Ordered collection of position variables; fixes the monomial layout."""
 
-    __slots__ = ("vars", "_index", "_offset", "width", "_hash")
+    __slots__ = ("vars", "_index", "_offset", "_kinds", "_tagged", "width", "_hash")
 
     def __init__(self, variables: Sequence[Var]):
         self.vars: Tuple[Var, ...] = tuple(variables)
@@ -126,9 +126,19 @@ class VarSystem:
             raise ValueError("variable names must be unique")
         self._index = {v.name: i for i, v in enumerate(self.vars)}
         self._offset = []
+        # per variable: (slot, linear, rate, -tag*rate), each rate an int pair
+        self._kinds = []
+        # per tagged variable: (C slot, -tag)
+        self._tagged = []
         off = 0
         for v in self.vars:
             self._offset.append(off)
+            linear = v.is_linear
+            rate, tag_rate = v.rate, -v.tag * v.rate
+            self._kinds.append((off, linear, (rate.numerator, rate.denominator),
+                                (tag_rate.numerator, tag_rate.denominator)))
+            if not linear:
+                self._tagged.append((off, -v.tag))
             off += v.slots
         self.width = off
         self._hash = hash(self.vars)
@@ -229,10 +239,8 @@ def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, int, int], ...]:
     different parents in the slots of a variable already rewritten.
     """
     pending: List[Tuple[List[int], Q]] = [(list(raw), QONE)]
-    for v, off in zip(sys.vars, sys._offset):
-        if v.is_linear:
-            continue
-        c_off, s_off = off, off + 1
+    for c_off, neg_tag in sys._tagged:
+        s_off = c_off + 1
         nxt: List[Tuple[List[int], Q]] = []
         for mono, coef in pending:
             bexp = mono[c_off]
@@ -244,7 +252,7 @@ def _reduce_raw(sys: VarSystem, raw: Mono) -> Tuple[Tuple[Mono, int, int], ...]:
                 m2 = list(mono)
                 m2[c_off] = rem
                 m2[s_off] += 2 * j
-                nxt.append((m2, coef * math.comb(k, j) * (-v.tag) ** j))
+                nxt.append((m2, coef * math.comb(k, j) * neg_tag ** j))
         pending = nxt
     return tuple((tuple(mono), coef.numerator, coef.denominator) for mono, coef in pending)
 
@@ -267,10 +275,6 @@ def _mono_add(a: Mono, b: Mono) -> Mono:
 
 def _mono_sub(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.sub, a, b))
-
-
-def _mono_min(a: Mono, b: Mono) -> Mono:
-    return tuple(map(min, a, b))
 
 
 def _mono_max(a: Mono, b: Mono) -> Mono:
@@ -386,52 +390,43 @@ class Poly:
 
     def derivative(self, name: str) -> "Poly":
         sys = self.sys
-        v = sys.var(name)
-        off = sys.offset(name)
         # rate and -tag*rate as int pairs; each factor is reduced before it
         # scales a coefficient
-        rn, rd = v.rate.numerator, v.rate.denominator
-        tag_rate = -v.tag * v.rate
-        tn, td = tag_rate.numerator, tag_rate.denominator
+        off, linear, (rn, rd), (tn, td) = sys._kinds[sys.index(name)]
         acc: Dict[Mono, ParamPoly] = {}
-        for m, c in self.terms.items():
-            if v.is_linear:
+        if linear:
+            for m, c in self.terms.items():
                 e = m[off]
-                if e == 0:
-                    continue
-                m2 = list(m)
-                m2[off] = e - 1
-                accumulate(acc, tuple(m2), c.scale(e))
-            else:
-                cexp, sexp = m[off], m[off + 1]
-                # d(C^b S^a) = rate * (a C^(b+1) S^(a-1) - tag*b C^(b-1) S^(a+1))
-                if sexp:
-                    raw = list(m)
-                    raw[off] = cexp + 1
-                    raw[off + 1] = sexp - 1
-                    for m2, qn, qd in _reduce_raw(sys, tuple(raw)):
-                        n, d = qn * rn * sexp, qd * rd
-                        g = math.gcd(n, d)
-                        accumulate(acc, m2, c._scaled(n // g, d // g))
-                if cexp:
-                    raw = list(m)
-                    raw[off] = cexp - 1
-                    raw[off + 1] = sexp + 1
-                    n = tn * cexp
-                    g = math.gcd(n, td)
-                    accumulate(acc, tuple(raw), c._scaled(n // g, td // g))
-        return Poly(self.sys, acc)
+                if e:
+                    m2 = list(m)
+                    m2[off] = e - 1
+                    accumulate(acc, tuple(m2), c.scale(e))
+            return Poly(sys, acc)
+        for m, c in self.terms.items():
+            cexp, sexp = m[off], m[off + 1]
+            # d(C^b S^a) = rate * (a C^(b+1) S^(a-1) - tag*b C^(b-1) S^(a+1))
+            if sexp:
+                raw = list(m)
+                raw[off] = cexp + 1
+                raw[off + 1] = sexp - 1
+                for m2, qn, qd in _reduce_raw(sys, tuple(raw)):
+                    n, d = qn * rn * sexp, qd * rd
+                    g = math.gcd(n, d)
+                    accumulate(acc, m2, c._scaled(n // g, d // g))
+            if cexp:
+                raw = list(m)
+                raw[off] = cexp - 1
+                raw[off + 1] = sexp + 1
+                n = tn * cexp
+                g = math.gcd(n, td)
+                accumulate(acc, tuple(raw), c._scaled(n // g, td // g))
+        return Poly(sys, acc)
 
     def content(self) -> Mono:
         """Componentwise minimum exponent vector over all terms."""
-        it = iter(self.terms)
-        first = next(it)
-        out = first
-        for m in it:
-            out = _mono_min(out, m)
-            if not any(out):
-                break
-        return out
+        if not self.terms:
+            raise ValueError("the zero polynomial has no monomial content")
+        return tuple(map(min, zip(*self.terms)))
 
     def shift_down(self, mono: Mono) -> "Poly":
         if not any(mono):
@@ -527,14 +522,12 @@ def _is_pythagorean(sys: VarSystem, f: Poly) -> bool:
     c0 = f.terms.get(unit)
     if c0 is None:
         return False
-    for v, off in zip(sys.vars, sys._offset):
-        if v.is_linear:
-            continue
+    for off, neg_tag in sys._tagged:
         smono = list(unit)
         smono[off + 1] = 2
         c2 = f.terms.get(tuple(smono))
         if c2 is not None:
-            return c2.is_one and c0 == ParamPoly.scalar(-QONE / v.tag)
+            return c2.is_one and c0 == ParamPoly.scalar(1 / neg_tag)
     return False
 
 
@@ -601,7 +594,7 @@ class CanonicalCoeff:
 
         den = list(den_mono)
         fac_acc: Dict[Poly, int] = {}
-        inv_scale = QONE  # product of (1/lead)**mult over the monic-made factors
+        inv_scale = None  # product of (1/lead)**mult over the rescaled factors
 
         def push_factor(f: Poly, mult: int):
             nonlocal inv_scale, den
@@ -617,7 +610,7 @@ class CanonicalCoeff:
             if lead_q != 1:
                 q = QONE / lead_q
                 f = f._scaled(q.numerator, q.denominator)
-                inv_scale = inv_scale * q ** mult
+                inv_scale = q ** mult if inv_scale is None else inv_scale * q ** mult
             if len(f.terms) == 1 and f.terms.get(sys.unit_mono, None) is not None:
                 if f.terms[sys.unit_mono].is_one:
                     return  # pure unit after normalization
@@ -630,9 +623,7 @@ class CanonicalCoeff:
 
         # C-powers above one in the denominator monomial become Pythagorean
         # factors so the stored monomial stays within the reduced basis.
-        for v, off in zip(sys.vars, sys._offset):
-            if v.is_linear:
-                continue
+        for off, neg_tag in sys._tagged:
             b = den[off]
             if b >= 2:
                 k, rem = divmod(b, 2)
@@ -640,10 +631,10 @@ class CanonicalCoeff:
                 smono = list(sys.unit_mono)
                 smono[off + 1] = 2
                 pyth = Poly(sys, {sys.unit_mono: ParamPoly.one(),
-                                  tuple(smono): ParamPoly.scalar(-v.tag)})
+                                  tuple(smono): ParamPoly.scalar(neg_tag)})
                 push_factor(pyth, k)
 
-        if inv_scale != 1:
+        if inv_scale is not None and inv_scale != 1:
             num = num._scaled(inv_scale.numerator, inv_scale.denominator)
 
         # Cancel the factors that divide the numerator.  A Pythagorean
@@ -658,11 +649,14 @@ class CanonicalCoeff:
             else:
                 del fac_acc[f]
 
+        # the monomial content shared by the numerator and den_mono, in one
+        # pass; it is zero wherever den_mono is
         den_mono = tuple(den)
-        cont = _mono_min(num.content(), den_mono)
-        if any(cont):
-            num = num.shift_down(cont)
-            den_mono = _mono_sub(den_mono, cont)
+        if any(den_mono):
+            cont = tuple(map(min, den_mono, *num.terms))
+            if any(cont):
+                num = num.shift_down(cont)
+                den_mono = _mono_sub(den_mono, cont)
 
         fac = tuple(sorted(fac_acc.items(), key=_factor_sort_key))
         return CanonicalCoeff(sys, num, den_mono, fac)

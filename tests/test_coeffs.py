@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from hamext import ParamPoly, Q, Var, VarSystem, ZeroCoefficientDivision
 from hamext._record import replace
-from hamext.coeffs import SingularEvaluation
+from hamext.coeffs import CanonicalCoeff, Poly, SingularEvaluation
 
 from conftest import coeff_strategy
 
@@ -172,6 +172,97 @@ def test_rate_and_tag_generators():
     assert (C2 * C2 + S2 * S2 * 2 - 1).is_zero
     val = S2.evaluate({"v": 0.7}, {})
     assert val == pytest.approx(math.sin(math.sqrt(2) * 0.7) / math.sqrt(2))
+
+
+def test_variable_kinds_are_read_from_each_var():
+    vs = [Var.tagged("a", tag=1, rate=Q(3, 2)), Var.linear("x"),
+          Var.tagged("b", tag=-1, rate=2), Var.tagged("c", tag=3, rate=Q(-1, 3)),
+          Var.tagged("d", tag=-2, rate=Q(5, 4))]
+    sy = VarSystem(vs)
+    kinds, tagged = [], []
+    for v in vs:
+        off = sy.offset(v.name)
+        tag_rate = -v.tag * v.rate
+        kinds.append((off, v.is_linear, (v.rate.numerator, v.rate.denominator),
+                      (tag_rate.numerator, tag_rate.denominator)))
+        if v.tag:
+            tagged.append((off, -v.tag))
+    assert sy._kinds == kinds
+    assert sy._tagged == tagged
+    # C' = -tag*rate*S and S' = rate*C on each tagged pair
+    for v in vs[2:]:
+        S, C = sy.S(v.name), sy.C(v.name)
+        assert C.differentiate(v.name) == S * (-v.tag * v.rate)
+        assert S.differentiate(v.name) == C * v.rate
+        assert (C * C + S * S * v.tag - 1).is_zero
+
+
+def _content_by_slots(p):
+    """The componentwise minimum exponent, one slot at a time."""
+    return tuple(min(m[i] for m in p.terms) for i in range(p.sys.width))
+
+
+def _ref_normalize(sys, num, den_mono, factors):
+    """``_normalize``'s numerator and monomial, the content cancelled as
+    ``min(content of the numerator, den_mono)``, then shifted out of both.
+
+    Each factor must have no monomial content.  Then a normalisation with
+    a unit monomial cancels no content.  A C^2 of ``den_mono`` goes into it
+    as the Pythagorean factor C^2 = 1 - tag*S^2, which scales the numerator
+    monic but never divides out of it.
+    """
+    assert all(not any(_content_by_slots(f)) for f, _ in factors)
+    den = list(den_mono)
+    pyth = []
+    for v in sys.vars:
+        if v.tag:
+            off = sys.offset(v.name)
+            k, den[off] = divmod(den[off], 2)
+            pyth.append(((sys.C(v.name) ** 2).num, k))
+    num = CanonicalCoeff._normalize(sys, num, sys.unit_mono, tuple(factors) + tuple(pyth)).num
+    cont = tuple(min(c, d) for c, d in zip(_content_by_slots(num), den))
+    return num.shift_down(cont), tuple(d - c for d, c in zip(den, cont))
+
+
+def _check_normalize(sys, num, den_mono, factors=()):
+    got = CanonicalCoeff._normalize(sys, num, den_mono, factors)
+    assert (got.num, got.den_mono) == _ref_normalize(sys, num, den_mono, factors)
+
+
+def test_normalize_content_hand_picked(sysv):
+    S, C, u = sysv.S("q"), sysv.C("q"), sysv.coord("u")
+    # single-term numerators, numerators holding the unit monomial, and
+    # numerators with a content of their own; the layout is (cos q, sin q, u)
+    for a in (S * u * u, C * S * u ** 3, 1 + u * S, u * 2 + S * u, C * u + S * S * u * u):
+        for den_mono in ((0, 0, 0), (0, 0, 1), (1, 0, 2), (0, 2, 0), (3, 1, 0), (2, 0, 5)):
+            _check_normalize(sysv, a.num, den_mono)
+            _check_normalize(sysv, a.num, den_mono, (((u + 1).num, 2),))
+    # a single-term numerator cancels down to its coefficient
+    got = CanonicalCoeff._normalize(sysv, (S * u * u).num, (0, 1, 3), ())
+    assert (got.num, got.den_mono) == (Poly.one(sysv), (0, 0, 1))
+
+
+@given(st.data())
+def test_normalize_content_matches_reference(sysv, data):
+    a = data.draw(coeff_strategy(sysv))
+    if a.is_zero:
+        return
+    extra = data.draw(st.tuples(*[st.integers(0, 3)] * sysv.width))
+    den_mono = tuple(map(sum, zip(a.den_mono, extra)))
+    _check_normalize(sysv, a.num, den_mono, a.den_factors)
+
+
+@given(st.data())
+def test_content_matches_slot_loop(sysv, data):
+    a = data.draw(coeff_strategy(sysv))
+    for p in [a.num] + [f for f, _ in a.den_factors]:
+        if not p.is_zero:
+            assert p.content() == _content_by_slots(p)
+
+
+def test_content_of_zero_polynomial_is_refused(sysv):
+    with pytest.raises(ValueError, match="zero polynomial"):
+        Poly(sysv, {}).content()
 
 
 def test_tagged_variable_refuses_rate_zero():
