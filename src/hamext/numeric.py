@@ -39,12 +39,12 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
 
     * each parameter polynomial is one constant, computed as
       ``ParamPoly.evaluate`` does, in the arithmetic of the precision;
-    * a linear variable's generator is ``x``; a tagged one's are
-      ``C = cos(root*(rate*x))`` and ``S = sin(root*(rate*x))/root``, with
-      ``root = sqrt(|tag|)`` (cosh and sinh for a negative tag), computed as
-      ``x*rate*root`` (a product of two numbers rounds the same either way)
-      once per call, if the call evaluates a coefficient at all: as in the
-      plain loop, ``math.sin(inf)`` raises even for an unread generator;
+    * a linear variable's generator is ``x``; a tagged one's pair is the
+      backend's ``tagged``: ``C = cos(w)`` and ``S = sin(w)/root`` (cosh and
+      sinh for a negative tag), ``root = sqrt(|tag|)`` and ``w = x*rate*root``
+      (a product of two numbers rounds the same either way), once per call
+      if the call evaluates a coefficient at all: as in the plain loop,
+      ``math.sin(inf)`` raises even for an unread generator;
     * a term is ``constant * g**e * ...``, multiplied left to right, each
       distinct power of a generator or momentum computed once per call, just
       before its first use; a sum starts from 0 in dict insertion order;
@@ -75,7 +75,11 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
     * the tape numbers values: an op that repeats an earlier op on the same
       registers reuses its register, so each register is guarded once.
     """
-    B = _Source(guard) if prec is None else _Tape(prec, guard)
+    return _walk(_Source(guard) if prec is None else _Tape(prec, guard), sys, targets,
+                 params, momenta)
+
+
+def _walk(B, sys: VarSystem, targets, params: Mapping[str, object], momenta: int) -> Callable:
     arith, one, ratio = B.arith, B.one, B.arith["ratio"]
     guarded = B.guard > 0  # abs(d) < G never holds for G <= 0, not even for a NaN d
     known: Dict[object, object] = {B.ZERO: B.zero}  # handle -> its number, if known now
@@ -156,15 +160,10 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
     for i, v in enumerate(sys.vars):
         if v.is_linear:
             gens.append(B.coordinate(i, f"g{i}"))
-        elif not evaluates:
-            B.coordinate(i, f"a{i}")
+        elif evaluates:
+            gens += B.tagged(i, v, const, apply)
         else:
-            rate = const(ratio(v.rate.numerator, v.rate.denominator))
-            root = const(arith["sqrt"](ratio(abs(v.tag.numerator), v.tag.denominator)))
-            w = B.local("w", apply("mul", apply("mul", B.coordinate(i), rate), root))
-            c_fn, s_fn = ("cos", "sin") if v.tag > 0 else ("cosh", "sinh")
-            gens.append(B.op(c_fn, w, name=f"c{i}"))
-            gens.append(apply("div", B.op(s_fn, w, name=f"s{i}"), root, f"s{i}"))
+            B.coordinate(i, f"a{i}")
     moms = [B.coordinate(len(sys.vars) + i, f"p{i}") for i in range(momenta)]
 
     def fraction(c: CanonicalCoeff, lead: bool):
@@ -232,6 +231,15 @@ class _Source:
         else:
             src = f"{kind}({a})"
         return self.local(name, src) if name else src
+
+    def tagged(self, i: int, v, const, apply) -> tuple:
+        ratio = self.arith["ratio"]
+        rate = const(ratio(v.rate.numerator, v.rate.denominator))
+        root = const(self.arith["sqrt"](ratio(abs(v.tag.numerator), v.tag.denominator)))
+        w = self.local("w", apply("mul", apply("mul", self.coordinate(i), rate), root))
+        c, s = ("cos", "sin") if v.tag > 0 else ("cosh", "sinh")
+        return (self.op(c, w, name=f"c{i}"),
+                apply("div", self.op(s, w, name=f"s{i}"), root, f"s{i}"))
 
     def add(self, a: str, b: str) -> str:
         return f"{a} + {b}"
@@ -319,6 +327,8 @@ class _Tape:
 
     def local(self, name: str, r: int) -> int:
         return r  # registers are locals already
+
+    tagged = _Source.tagged  # the same ops in the same order
 
     def coordinate(self, i: int, name: Optional[str] = None) -> int:
         self.coords.append(self.reg(name or f"a{i}"))
