@@ -233,16 +233,18 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-def solve(fun: Callable, t_bound: float, y0: Sequence[float], rtol: float,
-          atol: float, t_eval: Sequence[float]):
-    """Integrate ``y' = fun(t, y)`` from ``t = 0`` to ``t_bound > 0``.
+def solve(fun: Callable, t_bound: float, y0: Sequence[float], tol: float,
+          t_eval: Sequence[float]):
+    """Integrate ``y' = fun(t, y)`` from ``t = 0`` to ``t_bound > 0``, with
+    ``tol`` as the absolute and the relative tolerance (the latter floored).
 
     ``fun`` takes and returns sequences of floats.  Returns ``(t, y, success,
     message, nfev)``: the times of ``t_eval`` (sorted, within ``[0,
     t_bound]``) that the solver reached, the state at each as a list, whether
     it reached ``t_bound``, its message and the number of calls of ``fun``.
     """
-    if rtol < 100 * EPS:
+    rtol = atol = tol
+    if tol < 100 * EPS:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=3)
         rtol = 100 * EPS

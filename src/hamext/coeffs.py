@@ -17,8 +17,11 @@ Fractions are combined over common denominators without polynomial GCDs;
 denominators are kept factored as monomial * product of normalized
 multi-term factors.  Every result cancels the monomial content and each
 factor that exactly divides its numerator, so the stored form does not
-depend on the order of sums and products; Pythagorean factors (a C^2 of
-the denominator) are cancelled only by ``CanonicalCoeff.compact``.
+depend on the order of sums and products, with two exceptions: Pythagorean
+factors (a C^2 of the denominator) are cancelled only by
+``CanonicalCoeff.compact``, and no factor is split into powers of a
+smaller one, so ``(1/(u + 1))**2`` keeps u + 1 twice where ``1/(u + 1)**2``
+keeps u^2 + 2*u + 1 once (the two are not ``==``).
 
 All values are immutable after construction and safe to share.
 """
@@ -296,8 +299,8 @@ class Poly:
         return cls(sys, {sys.unit_mono: ParamPoly.one()})
 
     @classmethod
-    def from_mono(cls, sys: VarSystem, mono: Mono, coeff=None) -> "Poly":
-        return cls(sys, {mono: coeff if coeff is not None else ParamPoly.one()})
+    def from_mono(cls, sys: VarSystem, mono: Mono) -> "Poly":
+        return cls(sys, {mono: ParamPoly.one()})
 
     @property
     def is_zero(self) -> bool:
@@ -572,6 +575,9 @@ class CanonicalCoeff:
     cancels the denominator factors that divide its numerator, except the
     Pythagorean ones (see ``_normalize``), so a value reached by sums or
     products in a different order is stored, compared and rendered alike.
+    A power taken before or after a division is not: no factor is split
+    into powers of a smaller one, so ``(1/(u + 1))**2`` and
+    ``1/(u + 1)**2`` store u + 1 twice and u^2 + 2*u + 1 once.
     """
 
     __slots__ = ("sys", "num", "den_mono", "den_factors", "_hash")

@@ -116,7 +116,7 @@ def integrate_adaptive(cfg: TrajectoryConfig, fieldfn: Callable) -> Trajectory:
     step = cfg.t_final / div
     t_eval = [i * step if step else i / div * cfg.t_final for i in range(div)]
     t, y, success, message, nfev = _dop853.solve(
-        fieldfn, cfg.t_final, cfg.initial.values, cfg.tol, cfg.tol, t_eval + [cfg.t_final])
+        fieldfn, cfg.t_final, cfg.initial.values, cfg.tol, t_eval + [cfg.t_final])
     return Trajectory(space=cfg.initial.space, t=t, y=y, success=success,
                       message=message, nfev=nfev)
 

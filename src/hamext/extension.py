@@ -86,10 +86,9 @@ def extension_variable(c, kappa, name: str = "u") -> Var:
     return Var.tagged(name, kappa, rate=c)
 
 
-def make_extension_space(base: Sequence[Var], c, kappa, u_name: str = "u") -> PhaseSpace:
-    """Phase space of the base variables plus the extension pair."""
-    return PhaseSpace(VarSystem(list(base) + [extension_variable(c, kappa, u_name)]),
-                      ext=u_name)
+def make_extension_space(base: Sequence[Var], c, kappa) -> PhaseSpace:
+    """Phase space of the base variables plus the extension pair ``u``."""
+    return PhaseSpace(VarSystem(list(base) + [extension_variable(c, kappa)]), ext="u")
 
 
 def make_profile(space: PhaseSpace, m: int, n: int, *, c, L0=0, kappa=0,
@@ -435,8 +434,8 @@ class LinearSeedFamily:
         return self.residual_eta.is_zero and self.residual_V.is_zero
 
 
-def solve_linear_seed(c, a1, a2, c1, c2, L0, *, var: str = "q") -> LinearSeedFamily:
-    """Classify and build (eta, V) for a seed linear in the momentum.
+def solve_linear_seed(c, a1, a2, c1, c2, L0) -> LinearSeedFamily:
+    """Classify and build (eta, V) for a seed linear in the momentum of ``q``.
 
     Three cases: c != 0; c = 0 with a1 != 0; c = 0 with a1 = 0.  Constants
     may be exact numbers or parameter symbols (a1 symbolic is treated as
@@ -454,17 +453,16 @@ def solve_linear_seed(c, a1, a2, c1, c2, L0, *, var: str = "q") -> LinearSeedFam
 
     if c != 0:
         case = "c!=0"
-        q = Var.tagged(var, c)
-        space = PhaseSpace(VarSystem([q]))
+        space = PhaseSpace(VarSystem([Var.tagged("q", c)]))
         sysv = space.system
-        eta = sysv.lift(a1) * sysv.S(var) + sysv.lift(a2) * sysv.C(var)
-        V = (sysv.lift(c1) + sysv.lift(c2) * eta.differentiate(var)) / (eta * eta) \
+        eta = sysv.lift(a1) * sysv.S("q") + sysv.lift(a2) * sysv.C("q")
+        V = (sysv.lift(c1) + sysv.lift(c2) * eta.differentiate("q")) / (eta * eta) \
             - sysv.lift(L0) / sysv.scalar(c)
     elif not a1.is_zero:
         case = "c=0, a1!=0"
-        space = PhaseSpace(VarSystem([Var.linear(var)]))
+        space = PhaseSpace(VarSystem([Var.linear("q")]))
         sysv = space.system
-        qc = sysv.coord(var)
+        qc = sysv.coord("q")
         eta = sysv.lift(a1) * qc + sysv.lift(a2)
         # the quadratic coefficient is L0/(4 a1^2): with F' = eta the
         # antiderivative route gives (L0/2) F/eta' = L0 eta^2 / (4 a1^2),
@@ -473,19 +471,19 @@ def solve_linear_seed(c, a1, a2, c1, c2, L0, *, var: str = "q") -> LinearSeedFam
             + sysv.lift(c1) / (eta * eta) + sysv.lift(c2)
     else:
         case = "c=0, a1=0"
-        space = PhaseSpace(VarSystem([Var.linear(var)]))
+        space = PhaseSpace(VarSystem([Var.linear("q")]))
         sysv = space.system
-        qc = sysv.coord(var)
+        qc = sysv.coord("q")
         eta = sysv.lift(a2)
         V = sysv.lift(L0) * qc * qc + sysv.lift(c1) * qc + sysv.lift(c2)
 
-    deta = eta.differentiate(var)
-    r_eta = deta.differentiate(var) + eta * sysv.scalar(c)
-    dV = V.differentiate(var)
-    r_V = dV * deta * 3 + eta * dV.differentiate(var) \
+    deta = eta.differentiate("q")
+    r_eta = deta.differentiate("q") + eta * sysv.scalar(c)
+    dV = V.differentiate("q")
+    r_V = dV * deta * 3 + eta * dV.differentiate("q") \
         - eta * (V * sysv.scalar(c) + sysv.lift(L0)) * 2
 
-    p = space.p(var)
+    p = space.p("q")
     L = p * p * Q(1, 2) + space.lift(V)
     G = space.lift(eta) * p
     return LinearSeedFamily(

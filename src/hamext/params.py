@@ -186,15 +186,6 @@ class ParamPoly:
     def is_one(self) -> bool:
         return self.den == 1 and self.nums == {PUNIT: 1}
 
-    def as_scalar(self) -> Optional[Q]:
-        """The rational value if this polynomial is constant, else None."""
-        nums = self.nums
-        if not nums:
-            return QZERO
-        if len(nums) == 1 and PUNIT in nums:
-            return Q(nums[PUNIT], self.den)
-        return None
-
     # -- arithmetic -----------------------------------------------------
 
     @staticmethod

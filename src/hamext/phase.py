@@ -74,10 +74,10 @@ class PhaseSpace:
     def one(self) -> "PPoly":
         return self.lift(1)
 
-    def p(self, position: str, exp: int = 1) -> "PPoly":
+    def p(self, position: str) -> "PPoly":
         i = self.momentum_index(position)
         pexp = [0] * self.dim
-        pexp[i] = exp
+        pexp[i] = 1
         return PPoly(self, {tuple(pexp): self.system.one()})
 
     def compile(self, functions: Sequence["PPoly"], params: Mapping[str, object],
@@ -119,9 +119,6 @@ class PhasePoint:
     def to_dict(self) -> Dict[str, float]:
         return dict(zip(self.space.coordinate_names, self.values))
 
-    def value(self, name: str) -> float:
-        return self.to_dict()[name]
-
 
 def _pexp_key(pe: PExp):
     return (sum(pe), pe)
@@ -148,9 +145,6 @@ class PPoly:
         if not self.terms:
             return -1
         return max(sum(pe) for pe in self.terms)
-
-    def coefficient(self, pexp: PExp) -> CanonicalCoeff:
-        return self.terms.get(tuple(pexp), self.space.system.zero())
 
     def depends_on_pair(self, position: str) -> bool:
         """True if the polynomial involves the position or its momentum."""

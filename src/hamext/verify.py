@@ -31,13 +31,15 @@ from .extension import recursion_Gn
 
 
 #: The regular box that samples are drawn from, the singular-value ratio
-#: below which a gradient direction counts as dependent, the accepted
-#: samples a claim without a symbolic verdict needs, the least precision
-#: whose guard 10^(10 - precision) is at most the float path's 1e-12, and
-#: the pinned ratio of the generated K_bar of ttw(1,1) to its golden form.
+#: below which a gradient direction counts as dependent, the step of the
+#: five-point differences, the accepted samples a claim without a symbolic
+#: verdict needs, the least precision whose guard 10^(10 - precision) is at
+#: most the float path's 1e-12, and the pinned ratio of the generated K_bar
+#: of ttw(1,1) to its golden form.
 POSITION_RANGE = (0.3, 1.2)
 MOMENTUM_RANGE = (-1.0, 1.0)
 RANK_THRESHOLD = 1e-8
+FD_STEP = 1e-4
 MIN_SAMPLES = 30
 MIN_PRECISION = 22
 GOLDEN_CONSTANT = 1.0
@@ -174,7 +176,7 @@ def _gradient(F: PPoly) -> List[PPoly]:
 
 def numeric_commute_check(H: PPoly, K: PPoly, points: Sequence[PhasePoint],
                           params: Mapping[str, object],
-                          precision: int = 50) -> Tuple[float, int, int]:
+                          precision: int) -> Tuple[float, int, int]:
     """Max of |{H,K}| / (1 + |grad H||grad K|) over accepted samples.
 
     The bracket is recombined numerically from symbolic partials, so a
@@ -256,15 +258,14 @@ def singular_values(rows: Sequence[Sequence[float]]) -> List[float]:
 
 
 def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
-                      params: Mapping[str, object],
-                      threshold: float = RANK_THRESHOLD) -> Tuple[Dict[int, int], int, int]:
+                      params: Mapping[str, object]) -> Tuple[Dict[int, int], int, int]:
     """Histogram of numeric Jacobian ranks over the sampled points.
 
     Each gradient row is divided by its ``math.hypot`` norm, which neither
     overflows nor underflows where the sum of squares would, so that the
     relative threshold compares directions, not scales: this makes the
     rank histogram invariant under rescaling any function.  Singular
-    values (``singular_values``) below ``threshold`` times the largest one
+    values (``singular_values``) below RANK_THRESHOLD times the largest one
     count as zero, which makes the generic-rank statement operational.  A
     sample with a row of no finite norm (an infinite or NaN entry, or a
     norm past the float range) is rejected, like one at a singularity, and
@@ -285,13 +286,13 @@ def independence_rank(functions: Sequence[PPoly], points: Sequence[PhasePoint],
             continue
         sv = singular_values([[x / n for x in r] if n else r for r, n in zip(J, norms)])
         top = max(sv)
-        rank = sum(s > threshold * top for s in sv) if top > 0 else 0
+        rank = sum(s > RANK_THRESHOLD * top for s in sv) if top > 0 else 0
         hist[rank] = hist.get(rank, 0) + 1
     return hist, sum(hist.values()), rejected
 
 
 def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint],
-                   params: Mapping[str, object], precision: int = 50
+                   params: Mapping[str, object], precision: int
                    ) -> Tuple[float, float, Optional[bool], int, int]:
     """Proportionality constant and deviation against a pinned expression.
 
@@ -330,26 +331,25 @@ def golden_compare(generated: PPoly, golden: PPoly, points: Sequence[PhasePoint]
 
 
 def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
-                  params: Mapping[str, object], step: float = 1e-4
-                  ) -> Tuple[float, int, int]:
+                  params: Mapping[str, object]) -> Tuple[float, int, int]:
     """Symbolic partials against five-point central differences.
 
     Runs in double precision; the expected error floor is about h^4 plus
-    rounding amplification, comfortably under 1e-6 at h = 1e-4.
+    rounding amplification, comfortably under 1e-6 at h = FD_STEP.
     """
     fn = F.compile(params)
     grads = F.space.compile(_gradient(F), params)
 
     def row(*x) -> List[tuple]:
         # per coordinate: the symbolic partial, then F at x[c] - 2h, -h, +h, +2h
-        return [(sym, *(fn(*x[:c], x[c] + k * step, *x[c + 1:]) for k in (-2, -1, 1, 2)))
+        return [(sym, *(fn(*x[:c], x[c] + k * FD_STEP, *x[c + 1:]) for k in (-2, -1, 1, 2)))
                 for c, sym in enumerate(grads(*x))]
 
     rows, rejected = _sample(points, row)
     worst = 0.0
     for r in rows:
         for sym, m2, m1, p1, p2 in r:
-            fd = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
+            fd = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * FD_STEP)
             rel = abs(sym - fd) / (1 + abs(sym))
             worst = max(worst, rel)
     return worst, len(rows), rejected

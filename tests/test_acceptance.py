@@ -19,8 +19,8 @@ from hamext.cli import main as cli_main
 from hamext.dynamics import (TrajectoryConfig, hamiltons_equations,
                              integrate_adaptive, invariant_values,
                              monitor_invariants)
-from hamext.verify import (VerifySettings, golden_compare, independence_rank,
-                           sample_points)
+from hamext.verify import (RANK_THRESHOLD, VerifySettings, golden_compare,
+                           independence_rank, sample_points)
 
 
 def _report(num, desc, ok):
@@ -139,7 +139,7 @@ def test_criterion_07_golden_comparison():
     rng = random.Random(settings.rng_seed)
     pts = sample_points(mdl.space, 120, rng)
     const, dev, sym_ok, used, _ = golden_compare(mdl.Kbar.poly, golden, pts,
-                                                 params)
+                                                 params, settings.precision)
     ok = (used >= 100 and sym_ok is True and dev < 1e-12
           and abs(const - 1.0) < 1e-30)
     _report(7, f"generated degree-3 integral matches the transcribed form, "
@@ -202,7 +202,7 @@ def test_criterion_09_linear_seed_families():
 
 def test_criterion_10_independence_rank():
     settings = VerifySettings(samples=100, rng_seed=5150)
-    ok = True
+    ok = RANK_THRESHOLD == 1e-8
     for mdl, params in (
         (ttw_model(1, 1), {"alpha1": 1.25, "alpha2": 1.75, "omega": 2 / 3}),
         (cage_model(2, 1), {"L0": 0.75, "b": 0.5, "omega": 2 / 3, "A": 1.0}),
@@ -210,7 +210,7 @@ def test_criterion_10_independence_rank():
         rng = random.Random(settings.rng_seed)
         pts = sample_points(mdl.space, 100, rng)
         hist, used, _ = independence_rank([mdl.Hbar, mdl.Kbar.poly, mdl.L],
-                                          pts, params, threshold=1e-8)
+                                          pts, params)
         ok = ok and used >= 95 and hist.get(3, 0) >= 0.95 * used
     _report(10, "rank(Hbar, Kbar, L) = 3 at >= 95% of 100 samples for ttw "
                 "lambda = 1 and cage (2, 1), threshold 1e-8", ok)

@@ -436,5 +436,5 @@ def test_e2_residuals_match_seed_residual_coefficients():
     L = p * p * Q(1, 2) + space.lift(V)
     full, _ = check_seed(L, G, 1, ParamPoly.var("L0"))
     for i, r in enumerate(res):
-        coeff = full.coefficient((i,))
+        coeff = full.terms.get((i,), sysv.zero())
         assert (r - coeff).is_zero, i

@@ -170,14 +170,15 @@ def test_non_finite_gradient_row_rejected(ttw, settings, ttw_params):
 def test_golden_compare_trivial_and_real(ttw, settings, ttw_params):
     pts = _points(ttw, settings, 40)
     K = ttw.Kbar.poly
-    const, dev, sym, used, _ = golden_compare(K, K, pts, ttw_params)
+    const, dev, sym, used, _ = golden_compare(K, K, pts, ttw_params, settings.precision)
     assert const == pytest.approx(1.0, abs=1e-30) and dev < 1e-30 and sym
 
-    const, dev, sym, _, _ = golden_compare(K, K * 2, pts, ttw_params)
+    const, dev, sym, _, _ = golden_compare(K, K * 2, pts, ttw_params, settings.precision)
     assert const == pytest.approx(0.5, abs=1e-30) and dev < 1e-30 and sym
 
     golden = golden_K21()
-    const, dev, sym, used, _ = golden_compare(K, golden, pts, ttw_params)
+    const, dev, sym, used, _ = golden_compare(K, golden, pts, ttw_params,
+                                              settings.precision)
     assert sym is True
     assert const == pytest.approx(GOLDEN_CONSTANT, abs=1e-30)
     assert dev < 1e-12 and used >= 30
@@ -264,10 +265,10 @@ def test_unsampleable_region_fails_the_sampled_claims(ttw, ttw_params, monkeypat
     assert '"failed to sample the regular region"' in capsys.readouterr().out
 
 
-def test_all_samples_rejected_reported_not_crashed(ttw, ttw_params):
+def test_all_samples_rejected_reported_not_crashed(ttw, settings, ttw_params):
     # every point sits on the sin q = 0 singular locus
     bad = [PhasePoint.make(ttw.space, {"q": 0.0, "u": 0.9, "p_q": 0.1,
                                        "p_u": 0.2})] * 5
     worst, used, rejected = numeric_commute_check(ttw.Hbar, ttw.Kbar.poly,
-                                                  bad, ttw_params)
+                                                  bad, ttw_params, settings.precision)
     assert used == 0 and rejected == 5 and worst == 0.0
