@@ -118,9 +118,10 @@ class Var:
 
 
 class VarSystem:
-    """Ordered collection of position variables; fixes the monomial layout."""
+    """Ordered collection of position variables; fixes the monomial layout.
+    Compared and hashed by identity: a model's pieces share its one system."""
 
-    __slots__ = ("vars", "_index", "_offset", "_kinds", "_tagged", "width", "_hash")
+    __slots__ = ("vars", "_index", "_offset", "_kinds", "_tagged", "width")
 
     def __init__(self, variables: Sequence[Var]):
         self.vars: Tuple[Var, ...] = tuple(variables)
@@ -144,13 +145,6 @@ class VarSystem:
                 self._tagged.append((off, -v.tag))
             off += v.slots
         self.width = off
-        self._hash = hash(self.vars)
-
-    def __eq__(self, other):
-        return isinstance(other, VarSystem) and self.vars == other.vars
-
-    def __hash__(self):
-        return self._hash
 
     def __contains__(self, name: str) -> bool:
         return name in self._index

@@ -204,7 +204,7 @@ def catalog_params(name: str) -> Dict[str, float]:
 # the printed degree-three first integral at lambda = 1
 
 
-def golden_K21(alpha1=None, alpha2=None, omega=None) -> PPoly:
+def golden_K21(space: PhaseSpace, alpha1=None, alpha2=None, omega=None) -> PPoly:
     """Literal transcription of the known closed form of the first integral
     of the modified (2, 1)-extension of the TTW base at lambda = 1:
 
@@ -212,15 +212,17 @@ def golden_K21(alpha1=None, alpha2=None, omega=None) -> PPoly:
         + (4/u) p_u [c2 (cos^2 q + 1) + 2 c1 cos q] / sin^2 q
         + (2/u^2) p_q [omega u^4 sin^2 q - 4 (c1 + c2 cos q)] / sin q
 
-    with c1 = (alpha1 + alpha2)/2 and c2 = (alpha2 - alpha1)/2.
+    with c1 = (alpha1 + alpha2)/2 and c2 = (alpha2 - alpha1)/2, built on
+    ``space``, the ttw(1, 1) space of the model that it is compared with.
     """
+    if space.system.vars != (Var.circular("q"), Var.linear("u")) or space.ext != "u":
+        raise ValueError("golden_K21 needs the ttw(1, 1) space: circular q, linear ext u")
     alpha1 = as_parampoly(alpha1 if alpha1 is not None else ParamPoly.var("alpha1"))
     alpha2 = as_parampoly(alpha2 if alpha2 is not None else ParamPoly.var("alpha2"))
     omega = as_parampoly(omega if omega is not None else ParamPoly.var("omega"))
     c1 = (alpha1 + alpha2).scale(Q(1, 2))
     c2 = (alpha2 - alpha1).scale(Q(1, 2))
 
-    space = make_extension_space([Var.circular("q")], c=1, kappa=0)
     sysv = space.system
     S, C, u = sysv.S("q"), sysv.C("q"), sysv.coord("u")
     pq, pu = space.p("q"), space.p("u")

@@ -140,7 +140,8 @@ def symbolic_commute_check(H: PPoly, K: PPoly) -> Tuple[bool, PPoly]:
     nonzero verdict builds the ring's bracket, as the residual to report;
     a zero verdict returns the zero residual.
     """
-    # imported here, so that build and the other commands start without it
+    # imported here, so that ``import hamext.verify`` (which cli.make_config
+    # does to read the verify command's defaults) does not load the flat kernel
     from .flat import bracket_is_zero
 
     if bracket_is_zero(H, K):
@@ -410,7 +411,7 @@ def run_model_verification(model: ModelSpec, params: Mapping[str, object],
                            samples_used=used, samples_rejected=rej)
 
     def golden() -> ClaimResult:
-        form = golden_K21(model.params["alpha1"], model.params["alpha2"],
+        form = golden_K21(model.space, model.params["alpha1"], model.params["alpha2"],
                           model.params["omega"])
         const, dev, sym_ok, used, rej = golden_compare(K, form, points(), params,
                                                        settings.precision)

@@ -133,7 +133,7 @@ def test_criterion_06_binomial_expansion():
 
 def test_criterion_07_golden_comparison():
     mdl = ttw_model(1, 1)
-    golden = golden_K21()
+    golden = golden_K21(mdl.space)
     params = {"alpha1": 1.25, "alpha2": 1.75, "omega": 2.0 / 3.0}
     settings = VerifySettings(samples=120, rng_seed=424242)
     rng = random.Random(settings.rng_seed)

@@ -120,6 +120,11 @@ def _rational(node) -> Fraction:
     return Fraction(node.value)
 
 
+def _spelled(rational: str) -> str:
+    """A printed tag or rate as part of a name: ``-2`` is ``m2``, ``1/2`` is ``1_2``."""
+    return rational.replace("-", "m").replace("/", "_")
+
+
 def _generator(function: str) -> tuple:
     """``("C" or "S", tag)`` of a printed function, as ``_Text`` renames it."""
     if function in TAGS:
@@ -138,13 +143,14 @@ class _Text:
     sum of many terms becomes one ``_sum`` call, flat, so the compiler's
     depth stays that of the parentheses.  A generator becomes a name,
     which ``calls`` maps to its kind, tag, rate and coordinate; ``C_-2(``
-    is read as ``C_m2(`` and ``C_1/2(`` as ``C_1_2(``.
+    is read as ``C_m2(`` and ``C_1/2(`` as ``C_1_2(``, and the name
+    carries the rate after an ``r`` the same way: ``C_-2(3/7*q)`` is
+    ``C_m2_r3_7_q`` and ``cos(q)`` is ``cos_r1_q``.
     """
 
     def __init__(self, text: str):
         self.ints, self.names, self.calls, self.powers = set(), set(), {}, set()
-        text = _TAGGED.sub(lambda m: f"{m[1]}_{m[2].replace('-', 'm').replace('/', '_')}(",
-                           text)
+        text = _TAGGED.sub(lambda m: f"{m[1]}_{_spelled(m[2])}(", text)
         body = ast.parse(text.replace("^", "**"), mode="eval").body
         self.code = compile(ast.Expression(self._convert(body)), "<build text>", "eval")
 
@@ -186,7 +192,7 @@ class _Text:
             if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult):
                 rate, arg = _rational(arg.left), arg.right
             assert isinstance(arg, ast.Name), ast.dump(node)
-            local = f"{node.func.id}_{arg.id}"
+            local = f"{node.func.id}_r{_spelled(str(rate))}_{arg.id}"
             self.calls[local] = (kind, tag, rate, arg.id)
             return _name(local)
         if isinstance(node, ast.Name):
@@ -200,11 +206,21 @@ class _Text:
 
 class Texts:
     """Printed texts read together: the names, generators, integers and
-    powers of all of them, bound at a point."""
+    powers of all of them, bound at a point.
+
+    ``conic`` gives a tagged coordinate one point of one conic, so texts
+    that read a coordinate at two tags or rates are refused.
+    """
 
     def __init__(self, *texts: _Text):
         self.names = set().union(*(t.names for t in texts))
         self.calls = {k: v for t in texts for k, v in t.calls.items()}
+        read = {}
+        for _, tag, rate, x in self.calls.values():
+            seen = read.setdefault(x, (tag, rate))
+            if seen != (tag, rate):
+                raise ValueError(f"{x} is read at two (tag, rate) pairs: "
+                                 f"({seen[0]}, {seen[1]}) and ({tag}, {rate})")
         ints = set().union(*(t.ints for t in texts))
         self.constants = {f"_{n}": Dual(n) for n in ints}
         self.constants.update((f"_inv_{n}", Dual(_inverse(n))) for n in ints if n)
@@ -316,10 +332,25 @@ def test_dual_numbers_differentiate():
 def test_generators_of_every_tag_and_rate_are_read():
     """``C_-2(3/7*q)`` is ``C`` of tag -2 at rate 3/7, and so on."""
     text = _Text("C_-2(3/7*q)^2 + S_3(q) - cos(3/2*x)*sinh(2*y) + C_1/2(-5*z)")
-    assert text.calls == {"C_m2_q": ("C", -2, Fraction(3, 7), "q"), "S_3_q": ("S", 3, 1, "q"),
-                          "cos_x": ("C", 1, Fraction(3, 2), "x"), "sinh_y": ("S", -1, 2, "y"),
-                          "C_1_2_z": ("C", Fraction(1, 2), -5, "z")}
-    assert text.powers == {("C_m2_q", 2)} and not text.names
+    assert text.calls == {"C_m2_r3_7_q": ("C", -2, Fraction(3, 7), "q"),
+                          "S_3_r1_q": ("S", 3, 1, "q"),
+                          "cos_r3_2_x": ("C", 1, Fraction(3, 2), "x"),
+                          "sinh_r2_y": ("S", -1, 2, "y"),
+                          "C_1_2_rm5_z": ("C", Fraction(1, 2), -5, "z")}
+    assert text.powers == {("C_m2_r3_7_q", 2)} and not text.names
+
+
+def test_a_coordinate_read_at_two_rates_is_refused():
+    """``conic`` gives q one point, so ``cos(q)`` and ``cos(2*q)`` would
+    read the same residue; the two rates get two names, and ``Texts``
+    refuses them, within one text or across two."""
+    assert set(_Text("cos(q) + cos(2*q)").calls) == {"cos_r1_q", "cos_r2_q"}
+    pairs = r"q is read at two \(tag, rate\) pairs: \(1, 1\) and \(1, 2\)"
+    with pytest.raises(ValueError, match=pairs):
+        Texts(_Text("cos(q)"), _Text("cos(2*q)"))
+    with pytest.raises(ValueError, match="q is read at two"):
+        Texts(_Text("sin(q) + cosh(q)"))
+    Texts(_Text("cos(2*q)"), _Text("sin(2*q)*u"))  # one rate a coordinate
 
 
 def check_files(paths) -> int:

@@ -41,7 +41,7 @@ from test_build_certificate import P, POINTS, Texts, _Text, _inverse, residue
 
 def ttw(x: dict, k: int) -> int:
     """The TTW Hamiltonian at the residues ``x``, ``k`` the residue of m/n."""
-    C = x["cos_q"]
+    C = x["cos_r1_q"]
     angular = (4 * k * k * x["p_q"] ** 2 + 4 * x["alpha1"] * _inverse(1 + C)
                + 4 * x["alpha2"] * _inverse(1 - C))
     return (_inverse(2) * (x["p_u"] ** 2 + angular * _inverse(x["u"] ** 2))
@@ -61,7 +61,7 @@ def cage(x: dict, lam: int) -> int:
 #: coordinate) that it reads.
 MODELS = {
     "ttw": (ttw, {"p_q", "p_u", "u", "alpha1", "alpha2", "omega"},
-            {"cos_q": ("C", 1, 1, "q"), "sin_q": ("S", 1, 1, "q")}),
+            {"cos_r1_q": ("C", 1, 1, "q"), "sin_r1_q": ("S", 1, 1, "q")}),
     "cage": (cage, {"p_q", "p_u", "q", "u", "L0", "b", "omega"}, {}),
 }
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from hamext import (CATALOG, ParamPoly, Q, build_K, cage_model,
-                    coincidence_pair, golden_K21, harmonic_model,
-                    poisson_bracket, polar_cartesian_map, ttw_model)
+from hamext import (CATALOG, ParamPoly, PhaseSpaceMismatch, Q, Var, build_K,
+                    cage_model, coincidence_pair, golden_K21, harmonic_model,
+                    make_extension_space, poisson_bracket, polar_cartesian_map,
+                    ttw_model)
 
 
 def test_ttw_parameter_map():
@@ -75,14 +76,14 @@ def test_cage_frequency_ratio_coefficients():
 
 def test_golden_value_at_reference_point():
     # hand substitution: sin q = 1, cos q = 0, u = p_q = p_u = 1, constants 0
-    g = golden_K21()
+    g = golden_K21(make_extension_space([Var.circular("q")], c=1, kappa=0))
     val = g.evaluate({"q": math.pi / 2, "u": 1.0, "p_q": 1.0, "p_u": 1.0},
                      {"alpha1": 0.0, "alpha2": 0.0, "omega": 0.0})
     assert val == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_golden_omega_term_isolation():
-    g = golden_K21()
+    g = golden_K21(make_extension_space([Var.circular("q")], c=1, kappa=0))
     pt = {"q": 0.8, "u": 0.9, "p_q": 1.0, "p_u": 0.0}
     base = {"alpha1": 0.7, "alpha2": 0.4}
     with_w = g.evaluate(pt, dict(base, omega=1.0))
@@ -90,9 +91,15 @@ def test_golden_omega_term_isolation():
     assert with_w - without == pytest.approx(2 * 0.9 ** 2 * math.sin(0.8), rel=1e-12)
 
 
-def test_golden_equals_generated_exactly():
-    mdl = ttw_model(1, 1)
-    assert (mdl.Kbar.poly - golden_K21()).is_zero
+def test_golden_equals_generated_exactly(ttw11):
+    assert (ttw11.Kbar.poly - golden_K21(ttw11.space)).is_zero
+    # a system compares by identity: the form on a space built apart does
+    # not mix with the model's, and a space of another model is refused
+    apart = make_extension_space([Var.circular("q")], c=1, kappa=0)
+    with pytest.raises(PhaseSpaceMismatch):
+        ttw11.Kbar.poly - golden_K21(apart)
+    with pytest.raises(ValueError, match="ttw"):
+        golden_K21(cage_model(1, 1).space)
 
 
 def test_catalog_entries():

@@ -42,6 +42,19 @@ def test_mismatched_spaces_error(space):
         poisson_bracket(space.p("q"), other.p("x"))
 
 
+def test_systems_compare_by_identity():
+    # two systems of equal variables are distinct, and do not mix
+    first, second = (VarSystem([Var.circular("q"), Var.linear("u")]) for _ in range(2))
+    assert first != second
+    assert VarSystem.__hash__ is object.__hash__
+    with pytest.raises(ValueError, match="different variable systems"):
+        first.S("q") + second.S("q")
+    with pytest.raises(ValueError, match="different system"):
+        first.lift(second.one())
+    with pytest.raises(PhaseSpaceMismatch):
+        PhaseSpace(first, ext="u").p("q") + PhaseSpace(second, ext="u").p("q")
+
+
 def test_xl_sign_convention(space):
     # X_L(eta p) = eta' p^2 - eta V' pins the bracket orientation
     sysv = space.system

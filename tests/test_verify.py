@@ -176,7 +176,7 @@ def test_golden_compare_trivial_and_real(ttw, settings, ttw_params):
     const, dev, sym, _, _ = golden_compare(K, K * 2, pts, ttw_params, settings.precision)
     assert const == pytest.approx(0.5, abs=1e-30) and dev < 1e-30 and sym
 
-    golden = golden_K21()
+    golden = golden_K21(ttw.space)
     const, dev, sym, used, _ = golden_compare(K, golden, pts, ttw_params,
                                               settings.precision)
     assert sym is True
