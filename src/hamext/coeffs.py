@@ -856,17 +856,18 @@ class CanonicalCoeff:
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, object], params: Mapping[str, object],
-                 guard: Optional[float] = None, prec: Optional[int] = None):
+                 prec: Optional[int] = None, guard: Optional[float] = None):
         """Numeric value at a point; raises SingularEvaluation near poles.
 
         Pass ``prec`` (significant decimal digits) for high-precision
         evaluation through mpmath; the default is double precision.  Each
-        call compiles the coefficient (``compile_numeric``, which also sets
-        the default guard) and evaluates it once.
+        call compiles the coefficient as a polynomial with no momenta
+        (``compile_numeric``, which also sets the default guard) and
+        evaluates it once.
         """
         from .numeric import compile_numeric  # build never loads the compiler
 
-        fn = compile_numeric(self.sys, [self], params, prec, guard)
+        fn = compile_numeric(self.sys, [[((), self)]], params, prec, guard, momenta=0)
         return fn(*[point[v.name] for v in self.sys.vars])[0]
 
     # -- structure ----------------------------------------------------------------

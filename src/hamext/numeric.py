@@ -1,5 +1,6 @@
-"""The numeric compiler: exact coefficients as one function in floats or
-mpf.  Only the commands that evaluate (verify, simulate) load it."""
+"""The numeric compiler: momentum polynomials with exact coefficients as
+one function in floats or mpf.  Only the commands that evaluate (verify,
+simulate) load it."""
 
 from __future__ import annotations
 
@@ -22,20 +23,21 @@ def to_mpf(x):
     return mpmath.mpf(x)
 
 
-def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
-                    prec: Optional[int], guard=None, momenta: int = 0) -> Callable:
-    """Compile exact coefficients once into one Python function.
+def compile_numeric(sys: VarSystem, polys, params: Mapping[str, object],
+                    prec: Optional[int], guard, momenta: int) -> Callable:
+    """Compile momentum polynomials once into one Python function.
 
-    Each of ``targets`` is a CanonicalCoeff or a sequence of (momentum
-    exponents, coefficient) pairs, whose value is the sum of ``coeff * p**e``.
-    The function of the positions of ``sys`` followed by ``momenta`` momenta
-    returns the list of the targets' values, or raises if one of them does.
-    With ``prec=None`` it computes in floats; with ``prec`` digits it
-    computes in mpf at that precision, and so do the constants here.
+    Each of ``polys`` is a sequence of (momentum exponents, coefficient)
+    pairs, whose value is the sum of ``coeff * p**e``; a coefficient alone
+    is the polynomial ``[((), coeff)]`` with no momenta.  The function of the
+    positions of ``sys`` followed by ``momenta`` momenta returns the list
+    of their values, or raises if one of them does.  With ``prec=None`` it
+    computes in floats; with ``prec`` digits it computes in mpf at that
+    precision, and so do the constants here.
 
-    One walk over the targets decides every operation for both precisions,
-    so a value does not depend on how often, where, or beside which targets
-    it was compiled:
+    One walk over the polynomials decides every operation for both
+    precisions, so a value does not depend on how often, where, or beside
+    which polynomials it was compiled:
 
     * each parameter polynomial is one constant, computed as
       ``ParamPoly.evaluate`` does, in the arithmetic of the precision;
@@ -50,7 +52,7 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
       before its first use; a sum starts from 0 in dict insertion order;
     * a denominator is ``(0 + 1*mono) * f**k * ...``; if its magnitude is
       below ``guard`` the function raises SingularEvaluation, otherwise a
-      term is ``num / den * p**e * ...``.  The default guard is 1e-12, or
+      term is ``num / den * p**e * ...``.  A guard of None is 1e-12, or
       the mpf 10^(10 - prec) with ``prec``; a guard of 0 compiles no check;
     * an op on numbers known when it compiles is done then, unless it
       raises, so that each call raises.  So a fraction without generators
@@ -67,19 +69,18 @@ def compile_numeric(sys: VarSystem, targets, params: Mapping[str, object],
     listing.  Two rules are the backends' own:
 
     * the tape leaves out the leading ``0 +`` of a sum, as it rounds an mpf
-      to itself.  In floats it turns -0.0 into 0.0, so only a polynomial
-      term's numerator (its zero of either sign goes into a sum from 0.0)
-      and a denominator without a guard (``x / d`` raises for both zeros)
-      leave it out: a guard's message prints the denominator, and a
-      coefficient's value is the quotient itself;
+      to itself.  In floats it turns -0.0 into 0.0, so only a numerator
+      (its zero of either sign goes into a sum from 0.0) and a denominator
+      without a guard (``x / d`` raises for both zeros) leave it out: a
+      guard's message prints the denominator;
     * the tape numbers values: an op that repeats an earlier op on the same
       registers reuses its register, so each register is guarded once.
     """
-    return _walk(_Source(guard) if prec is None else _Tape(prec, guard), sys, targets,
+    return _walk(_Source(guard) if prec is None else _Tape(prec, guard), sys, polys,
                  params, momenta)
 
 
-def _walk(B, sys: VarSystem, targets, params: Mapping[str, object], momenta: int) -> Callable:
+def _walk(B, sys: VarSystem, polys, params: Mapping[str, object], momenta: int) -> Callable:
     arith, one, ratio = B.arith, B.one, B.arith["ratio"]
     guarded = B.guard > 0  # abs(d) < G never holds for G <= 0, not even for a NaN d
     known: Dict[object, object] = {B.ZERO: B.zero}  # handle -> its number, if known now
@@ -144,7 +145,7 @@ def _walk(B, sys: VarSystem, targets, params: Mapping[str, object], momenta: int
 
     def total(p: Poly, lead: bool):
         # the sum from 0, or (lead=False, which only floats spell differently;
-        # see above) from its first term
+        # see compile_numeric) from its first term
         acc = B.ZERO if lead or not p.terms else None
         for m, pp in p.terms.items():
             term = times(const(constant_value(pp.den, tuple(pp.nums.items()))), gens, m)
@@ -154,8 +155,7 @@ def _walk(B, sys: VarSystem, targets, params: Mapping[str, object], momenta: int
             known[h] = known[acc]
         return h
 
-    # a coefficient to evaluate, of a CanonicalCoeff target or a polynomial's term
-    evaluates = any(isinstance(t, CanonicalCoeff) or len(t) for t in targets)
+    evaluates = any(len(F) for F in polys)  # a polynomial with a coefficient
     gens: list = []  # the generator in each monomial slot
     for i, v in enumerate(sys.vars):
         if v.is_linear:
@@ -166,22 +166,19 @@ def _walk(B, sys: VarSystem, targets, params: Mapping[str, object], momenta: int
             B.coordinate(i, f"a{i}")
     moms = [B.coordinate(len(sys.vars) + i, f"p{i}") for i in range(momenta)]
 
-    def fraction(c: CanonicalCoeff, lead: bool):
+    def fraction(c: CanonicalCoeff):
         d = total(Poly.from_mono(sys, c.den_mono), guarded)
         for f, k in c.den_factors:
             d = apply("mul", d, power(total(f, guarded), k))
         if guarded and (d not in known or arith["below"](known[d])):
             d = B.check(d)
-        return apply("div", total(c.num, lead), d)
+        return apply("div", total(c.num, False), d)
 
     outs = []
-    for j, target in enumerate(targets):
-        if isinstance(target, CanonicalCoeff):
-            outs.append(B.local(f"v{j}", fraction(target, lead=True)))
-            continue
+    for j, F in enumerate(polys):
         acc = B.local(f"v{j}", B.ZERO)
-        for pe, c in target:
-            acc = B.local(f"v{j}", add(acc, times(fraction(c, lead=False), moms, pe)))
+        for pe, c in F:
+            acc = B.local(f"v{j}", add(acc, times(fraction(c), moms, pe)))
         outs.append(acc)
     return B.finish(outs, len(sys.vars) + momenta)
 

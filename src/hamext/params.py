@@ -346,8 +346,6 @@ class ParamPoly:
         return tuple(sorted(self.terms.items(), key=lambda kv: _pmono_key(kv[0]), reverse=True))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Q)):
-            other = ParamPoly.scalar(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums

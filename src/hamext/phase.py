@@ -262,29 +262,16 @@ class PPoly:
 
     # -- evaluation -------------------------------------------------------------
 
-    def compile(self, params: Mapping[str, object], prec: Optional[int] = None,
-                guard=None) -> Callable:
-        """Compile once to a function of the coordinates, positions then momenta.
-
-        The one-function case of ``PhaseSpace.compile``.
-        """
-        fn = self.space.compile([self], params, prec, guard)
-
-        def call(*coords):
-            return fn(*coords)[0]
-
-        call.source = fn.source  # type: ignore[attr-defined]
-        return call
-
     def evaluate(self, point, params: Mapping[str, object], prec: Optional[int] = None,
                  guard=None):
         """Value at a phase point; high precision when ``prec`` digits given.
 
         Compiles the polynomial for this one call; to evaluate at many
-        points, ``compile`` once instead.
+        points, compile once with ``PhaseSpace.compile`` instead.
         """
         coords = point.to_dict() if isinstance(point, PhasePoint) else point
-        return self.compile(params, prec, guard)(*[coords[n] for n in self.space.coordinate_names])
+        fn = self.space.compile([self], params, prec, guard)
+        return fn(*[coords[n] for n in self.space.coordinate_names])[0]
 
     # -- structure ------------------------------------------------------------------
 

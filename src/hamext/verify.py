@@ -338,12 +338,12 @@ def fd_crosscheck(F: PPoly, points: Sequence[PhasePoint],
     Runs in double precision; the expected error floor is about h^4 plus
     rounding amplification, comfortably under 1e-6 at h = FD_STEP.
     """
-    fn = F.compile(params)
+    fn = F.space.compile([F], params)
     grads = F.space.compile(_gradient(F), params)
 
     def row(*x) -> List[tuple]:
         # per coordinate: the symbolic partial, then F at x[c] - 2h, -h, +h, +2h
-        return [(sym, *(fn(*x[:c], x[c] + k * FD_STEP, *x[c + 1:]) for k in (-2, -1, 1, 2)))
+        return [(sym, *(fn(*x[:c], x[c] + k * FD_STEP, *x[c + 1:])[0] for k in (-2, -1, 1, 2)))
                 for c, sym in enumerate(grads(*x))]
 
     rows, rejected = _sample(points, row)

@@ -100,7 +100,7 @@ def ref_coeff_evaluate(c, point, params, conv=float, guard=1e-12, prec=None):
         den = den * ref_poly_evaluate(f, genvals, params, conv) ** k
     if abs(den) < guard:
         raise SingularEvaluation(f"denominator magnitude {den} below guard {guard}")
-    return ref_poly_evaluate(c.num, genvals, params, conv) / den
+    return conv(0) + ref_poly_evaluate(c.num, genvals, params, conv) / den
 
 
 def _ref_ppoly_with(F, coords, params, conv, guard):
@@ -121,6 +121,18 @@ def ref_ppoly_evaluate(F, coords, params, prec=None, guard=None):
     with mpmath.workdps(prec):
         g = mpmath.mpf(10) ** (-prec + 10) if guard is None else guard
         return _ref_ppoly_with(F, coords, params, ref_mp_conv, g)
+
+
+def compile_one(F, params, prec=None, guard=None):
+    """``PhaseSpace.compile`` of ``F`` alone: a function of the coordinates
+    that returns its value, with the compiled ``source``."""
+    fn = F.space.compile([F], params, prec, guard)
+
+    def call(*coords):
+        return fn(*coords)[0]
+
+    call.source = fn.source
+    return call
 
 
 # -- comparison ------------------------------------------------------------------
@@ -178,7 +190,7 @@ def _ppoly_case(name):
 def test_ppoly_matches_reference(name, data):
     F, pt, guard, prec = data.draw(_ppoly_case(name))
     want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec, guard))
-    fn = F.compile(PARAM_VALUES, prec, guard)
+    fn = compile_one(F, PARAM_VALUES, prec, guard)
     values = [pt[n] for n in F.space.coordinate_names]
     assert outcome(lambda: fn(*values)) == want
     assert outcome(lambda: F.evaluate(pt, PARAM_VALUES, prec, guard)) == want
@@ -265,11 +277,11 @@ def test_values_do_not_depend_on_the_callers_precision(name, data):
     F, pt, guard, _ = data.draw(_ppoly_case(name))
     want = outcome(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, 50, guard))
     values = [pt[n] for n in F.space.coordinate_names]
-    fn = F.compile(PARAM_VALUES, 50, guard)
+    fn = compile_one(F, PARAM_VALUES, 50, guard)
     for dps in (15, 80):
         with mpmath.workdps(dps):
             assert outcome(lambda: fn(*values)) == want
-            assert outcome(lambda: F.compile(PARAM_VALUES, 50, guard)(*values)) == want
+            assert outcome(lambda: compile_one(F, PARAM_VALUES, 50, guard)(*values)) == want
 
 
 SPECIAL_POINTS = [{"q": math.nan, "u": 0.5}, {"q": 0.4, "u": math.nan},
@@ -318,15 +330,45 @@ def test_special_float_coordinates_match_reference(name, data):
     """In floats, NaN, infinite and signed-zero coordinates give bitwise the
     reference chain's values, the sign of a zero included, and its verdicts
     and messages, for a polynomial and for a coefficient alone: the float
-    source leaves out the ``0.0 +`` of a term's numerator, but not of a
-    denominator or of a coefficient's numerator, where it turns -0.0 into 0.0."""
+    source leaves out the ``0.0 +`` of a numerator, but not of a guarded
+    denominator, whose message prints a -0.0, or of a value, where it turns
+    -0.0 into 0.0."""
     F, c, pt, guard = data.draw(st.tuples(_ppoly(name), _coeff(name), special_floats,
                                           st.sampled_from([None, 0.0, 1e-3, 0.3, 2.0])))
     want = verdict(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, None, guard))
     values = [pt[n] for n in F.space.coordinate_names]
-    assert verdict(lambda: F.compile(PARAM_VALUES, None, guard)(*values)) == want
+    assert verdict(lambda: compile_one(F, PARAM_VALUES, None, guard)(*values)) == want
     want = verdict(lambda: ref_coeff_with(c, pt, PARAM_VALUES, None, guard))
-    assert verdict(lambda: c.evaluate(pt, PARAM_VALUES, guard)) == want
+    assert verdict(lambda: c.evaluate(pt, PARAM_VALUES, None, guard)) == want
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@given(data=st.data())
+def test_coeff_is_its_constant_polynomial(name, data):
+    """A coefficient's value, or its verdict and message, is bitwise that of
+    its lifted constant polynomial, in floats and at 50 digits.  A zero
+    coefficient lifts to the polynomial with no term, which evaluates no
+    generator and no denominator, so it is left out."""
+    c, pt, guard, prec = data.draw(st.tuples(_coeff(name).filter(lambda c: not c.is_zero),
+                                             special_floats, guards | st.just(0.0), precisions))
+    space = SPACES[name]
+    fn = space.compile([space.lift(c)], PARAM_VALUES, prec, guard)
+    want = verdict(lambda: fn(*[pt[n] for n in space.coordinate_names])[0])
+    assert verdict(lambda: c.evaluate(pt, PARAM_VALUES, prec, guard)) == want
+
+
+def test_coeff_zero_value_is_positive():
+    """``sin(q)/(u - 2)`` at q = 0, u = 1 is the quotient -0.0 added to 0.0:
+    0.0 in floats, as a polynomial's value is, and the mpf zero at 50 digits."""
+    sys = SYSTEMS["circular"]
+    c = sys.S("q") / (sys.coord("u") - 2)
+    pt = {"q": 0.0, "u": 1.0}
+    assert math.copysign(1.0, math.sin(0.0) / (1.0 - 2)) == -1.0
+    assert outcome(lambda: c.evaluate(pt, {})) == (float, "0x0.0p+0")
+    assert outcome(lambda: c.evaluate(pt, {}, 50)) == (mpmath.mpf, mpmath.libmp.fzero)
+    for prec in (None, 50):
+        assert outcome(lambda: c.evaluate(pt, {}, prec)) == outcome(
+            lambda: ref_coeff_with(c, pt, {}, prec, None))
 
 
 def test_generators_only_where_a_coefficient_is_evaluated():
@@ -341,9 +383,10 @@ def test_generators_only_where_a_coefficient_is_evaluated():
     for F in (space.zero(), space.p("q"), space.lift(space.system.coord("u"))):
         for prec in (None, 50):
             want = verdict(lambda: ref_ppoly_evaluate(F, pt, PARAM_VALUES, prec))
-            assert verdict(lambda: F.compile(PARAM_VALUES, prec)(*values)) == want
-    assert verdict(lambda: space.zero().compile(PARAM_VALUES)(*values)) == (float, "0x0.0p+0")
-    assert verdict(lambda: space.p("q").compile(PARAM_VALUES)(*values)) == "domain error"
+            assert verdict(lambda: compile_one(F, PARAM_VALUES, prec)(*values)) == want
+    zero = compile_one(space.zero(), PARAM_VALUES)
+    assert verdict(lambda: zero(*values)) == (float, "0x0.0p+0")
+    assert verdict(lambda: compile_one(space.p("q"), PARAM_VALUES)(*values)) == "domain error"
 
 
 def test_zero_guard_compiles_no_check():
@@ -362,12 +405,12 @@ def test_zero_guard_compiles_no_check():
         assert check not in space.compile([F], PARAM_VALUES, prec, 0.0).source
         counts[prec] = space.compile([F], PARAM_VALUES, prec, 0.05).source.count(check)
         with pytest.raises(SingularEvaluation):
-            F.compile(PARAM_VALUES, prec, 0.05)(*values)
+            compile_one(F, PARAM_VALUES, prec, 0.05)(*values)
         want = outcome(lambda: ref_ppoly_evaluate(F, near, PARAM_VALUES, prec, 0.0))
-        assert outcome(lambda: F.compile(PARAM_VALUES, prec, 0.0)(*values)) == want
+        assert outcome(lambda: compile_one(F, PARAM_VALUES, prec, 0.0)(*values)) == want
     assert counts[None] == counts[50] == 2
     nan = dict(near, u=math.nan)
-    got = F.compile(PARAM_VALUES, None, 0.0)(*[nan[n] for n in space.coordinate_names])
+    got = compile_one(F, PARAM_VALUES, None, 0.0)(*[nan[n] for n in space.coordinate_names])
     assert math.isnan(got)
 
 
@@ -393,12 +436,12 @@ def test_constant_fractions_match_reference():
         for prec in (None, 50):
             for guard in (None, 0.0, 0.3, 1.0, 2.0):
                 # compiling never raises: only the call does
-                fn = F.compile(params, prec, guard)
+                fn = compile_one(F, params, prec, guard)
                 want = verdict(lambda: ref_ppoly_evaluate(F, pt, params, prec, guard))
                 assert verdict(lambda: fn(*values)) == want
                 seen.add(want if isinstance(want, str) else want[0])
                 for c in (ratio, third, square):
-                    fn = compile_numeric(sys, [c], params, prec, guard)
+                    fn = compile_numeric(sys, [[((), c)]], params, prec, guard, 0)
                     want = verdict(lambda: ref_coeff_with(c, pt, params, prec, guard))
                     assert verdict(lambda: fn(pt["q"], pt["u"])[0]) == want
                     seen.add(want if isinstance(want, str) else want[0])
@@ -406,9 +449,9 @@ def test_constant_fractions_match_reference():
     # c1 + c2 = 0.6 and 1 pass the guard 0.3, so only u is checked; both are
     # below the guard 2, and a zero denominator stays in the function
     for prec, check in ((None, "if abs(d) < G: raise below(d)"), (50, "guard(")):
-        assert F.compile(PARAM_VALUES, prec, 0.3).source.count(check) == 1
-        assert F.compile(PARAM_VALUES, prec, 2.0).source.count(check) == 3
-        assert F.compile(zero, prec, 0.3).source.count(check) == 2
+        assert compile_one(F, PARAM_VALUES, prec, 0.3).source.count(check) == 1
+        assert compile_one(F, PARAM_VALUES, prec, 2.0).source.count(check) == 3
+        assert compile_one(F, zero, prec, 0.3).source.count(check) == 2
     assert "/ d" not in space.compile([F - space.lift(S / u) * space.p("u") ** 2],
                                       PARAM_VALUES, None, 0.3).source
     # a denominator without generators under a numerator with them (c1 + c2,
@@ -419,8 +462,8 @@ def test_constant_fractions_match_reference():
     for params in (PARAM_VALUES, zero):
         for prec in (None, 50):
             for guard in (0.0, 0.3, 2.0):
-                fn = G.compile(params, prec, guard)
-                coeff = compile_numeric(sys, [scaled], params, prec, guard)
+                fn = compile_one(G, params, prec, guard)
+                coeff = compile_numeric(sys, [[((), scaled)]], params, prec, guard, 0)
                 want = verdict(lambda: ref_ppoly_evaluate(G, pt, params, prec, guard))
                 alone = verdict(lambda: ref_coeff_with(scaled, pt, params, prec, guard))
                 for _ in range(2):
@@ -428,11 +471,11 @@ def test_constant_fractions_match_reference():
                     assert verdict(lambda: coeff(pt["q"], pt["u"])[0]) == alone
     for prec, check, div in ((None, "if abs(d) < G: raise below(d)", " / "),
                              (50, "guard(", "mpf_div(")):
-        counts = [G.compile(PARAM_VALUES, prec, guard).source.count(check)
+        counts = [compile_one(G, PARAM_VALUES, prec, guard).source.count(check)
                   for guard in (0.0, 0.3, 2.0)]
         assert counts == [0, 0, 2]
         # the constant c1 + c2 is divided by; the constant 1 is not
-        assert G.compile(PARAM_VALUES, prec, 0.3).source.count(div) == 1
+        assert compile_one(G, PARAM_VALUES, prec, 0.3).source.count(div) == 1
 
 
 # -- the gradients verify evaluates --------------------------------------------------
@@ -471,7 +514,7 @@ def test_model_gradients_match_reference(name):
         names = F.space.position_names
         for G in [F.d_position(n) for n in names] + [F.d_momentum(n) for n in names]:
             for prec in (None, 50):
-                fn = G.compile(params, prec)
+                fn = compile_one(G, params, prec)
                 for pt in pts:
                     want = outcome(lambda: ref_ppoly_evaluate(G, pt, params, prec))
                     values = [pt[n] for n in G.space.coordinate_names]
@@ -495,7 +538,7 @@ def test_joint_function_matches_each_alone(name, data):
     the reference chain, or the first of their singular verdicts."""
     Fs, pts, guard, prec = data.draw(_joint_case(name))
     joint = SPACES[name].compile(Fs, PARAM_VALUES, prec, guard)
-    alone = [F.compile(PARAM_VALUES, prec, guard) for F in Fs]
+    alone = [compile_one(F, PARAM_VALUES, prec, guard) for F in Fs]
     for pt in pts:
         values = [pt[n] for n in SPACES[name].coordinate_names]
         want = [outcome(lambda: fn(*values)) for fn in alone]

@@ -20,6 +20,19 @@ def test_basic_algebra():
     assert (a * 0).is_zero
 
 
+def test_equality_is_between_param_polys():
+    """A scalar ``ParamPoly`` is not equal to its int or ``Fraction``, whose
+    hashes differ from its own; equal ``ParamPoly``s hash equal."""
+    for x in (1, Q(1), Q(-3, 4)):
+        assert ParamPoly.scalar(x) != x
+        assert len({ParamPoly.scalar(x), x}) == 2
+    assert {ParamPoly.scalar(1): 0}.get(1) is None
+    for a, b in ((ParamPoly.scalar(1), ParamPoly.one()),
+                 (ParamPoly({(): Q(2, 4)}), ParamPoly.scalar(Q(1, 2))),
+                 (ParamPoly.var("c1") * 2, ParamPoly.var("c1") + ParamPoly.var("c1"))):
+        assert a == b and hash(a) == hash(b)
+
+
 def test_unknown_parameter_rejected():
     with pytest.raises(KeyError):
         ParamPoly.var("zeta")

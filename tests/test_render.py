@@ -183,13 +183,13 @@ def _evaluate(text, coords):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_ppoly_text_evaluates_to_the_compiled_value(sysv, data, seed):
     P = data.draw(_ppolys(sysv))
-    fn = P.compile(PARAMS_AT)
+    fn = P.space.compile([P], PARAMS_AT)
     rng = random.Random(seed)
     names = P.space.coordinate_names
     for _ in range(3):
         point = {n: rng.uniform(*(POSITION_RANGE if n in sysv else MOMENTUM_RANGE))
                  for n in names}
-        want = fn(*[point[n] for n in names])
+        want = fn(*[point[n] for n in names])[0]
         assert math.isclose(_evaluate(P.render(), point), want, rel_tol=1e-9, abs_tol=1e-12)
 
 
